@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 /// \file error.hpp
 /// Exception hierarchy and precondition assertions. Following the Core
@@ -34,9 +35,10 @@ class NotFound : public Error {
   using Error::Error;
 };
 
-/// Throw InvalidArgument when `cond` is false.
-inline void require(bool cond, const std::string& what) {
-  if (!cond) throw InvalidArgument(what);
+/// Throw InvalidArgument when `cond` is false. The message is only copied
+/// on failure, so a passing check on the hot path never allocates.
+inline void require(bool cond, std::string_view what) {
+  if (!cond) throw InvalidArgument(std::string(what));
 }
 
 }  // namespace rfp

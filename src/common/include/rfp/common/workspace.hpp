@@ -13,8 +13,8 @@
 /// it and are then reused verbatim, so a warmed-up workspace makes the
 /// refinement stack (LM iterations, normal equations, SoA round snapshot)
 /// allocation-free. Workspaces are NOT thread-safe — the execution model
-/// is one workspace per thread (see SensingEngine), never one workspace
-/// shared across concurrent solves.
+/// is one workspace per thread (see SensingEngine and for_this_thread()),
+/// never one workspace shared across concurrent solves.
 ///
 /// Contract for all borrowed storage: contents are unspecified on entry.
 /// A caller must fully overwrite what it reads back, which is also what
@@ -56,6 +56,12 @@ class SolveWorkspace {
 
   /// Number of distinct double slots ever borrowed (diagnostics).
   std::size_t slots() const { return vecs_.size(); }
+
+  /// The calling thread's own workspace, created on first use and freed
+  /// when the thread exits. Backs every library solve: the engine-free
+  /// API, engine pool workers, and engine calls made from threads outside
+  /// the pool. One per thread, so concurrent callers never share scratch.
+  static SolveWorkspace& for_this_thread();
 
  private:
   std::deque<std::vector<double>> vecs_;  // deque: stable references

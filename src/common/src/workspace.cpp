@@ -12,4 +12,9 @@ std::vector<double>& SolveWorkspace::vec(std::size_t slot, std::size_t n) {
   return buffer;
 }
 
+SolveWorkspace& SolveWorkspace::for_this_thread() {
+  static thread_local SolveWorkspace ws;
+  return ws;
+}
+
 }  // namespace rfp

@@ -6,6 +6,7 @@
 #include "rfp/common/workspace.hpp"
 #include "rfp/core/drift.hpp"
 #include "rfp/core/types.hpp"
+#include "rfp/simd/dispatch.hpp"
 
 /// \file disentangle.hpp
 /// The phase-disentangling solver (paper §IV): turns the per-antenna
@@ -27,21 +28,6 @@ namespace rfp {
 
 class GridGeometryCache;
 struct GridTable;
-
-/// Which micro-kernel *ranks* Stage-A grid cells (DESIGN.md "Vectorized
-/// kernels"). Ranking only: whichever kernel orders the cells, the
-/// reported values (position, kt, rms) always come from the canonical
-/// two-pass kernel re-evaluated at the winning candidates — so results
-/// are byte-identical across kernels and dispatch levels.
-enum class RankKernel {
-  kCanonical,       ///< canonical two-pass kernel at every cell (the
-                    ///< legacy cached scan; baseline for benches)
-  kFactoredScalar,  ///< antenna-factored sufficient statistics, scalar FMA
-  kFactoredSimd,    ///< antenna-factored, AVX2-batched over the table's
-                    ///< antenna-major planes; falls back to scalar when
-                    ///< AVX2 is unavailable (cpuid), RFP_FORCE_SCALAR is
-                    ///< set, or the build used -DRFP_DISABLE_SIMD
-};
 
 struct DisentangleConfig {
   /// Stage A multi-start grid resolution over the working region.
@@ -65,29 +51,6 @@ struct DisentangleConfig {
   /// <= 0 restores the legacy fixed 40 iterations.
   double orientation_refine_tol_rad = 1e-6;
 
-  // ---- Solver acceleration (DESIGN.md "Solver acceleration") -----------
-
-  /// Serve the Stage-A scan from the GridGeometryCache: the per-deployment
-  /// [cell x antenna] distance table is built once and the hot loop
-  /// becomes pure multiply-add over contiguous doubles. Bit-identical to
-  /// the uncached scan (the table stores the exact distance() values and
-  /// the kernel keeps the same accumulation order).
-  bool use_geometry_cache = true;
-
-  /// Coarse-to-fine pyramid search: scan a decimated sampling of the fine
-  /// grid with a fused single-pass ranking kernel, then re-scan full-
-  /// resolution windows around the best coarse cells. Deterministic
-  /// scan-order argmin, reproducible across thread counts; lands within
-  /// one fine cell of the exhaustive scan on smooth slope-residual
-  /// surfaces (validated per test scene, not guaranteed adversarially).
-  struct Pyramid {
-    bool enable = false;
-    std::size_t decimation = 4;     ///< coarse stride in fine cells (>= 2)
-    std::size_t top_k = 3;          ///< coarse candidates refined at full res
-    std::size_t refine_radius = 0;  ///< fine half-window; 0 = decimation + 1
-  };
-  Pyramid pyramid;
-
   /// Warm start: when the caller passes a position hint (solve_position's
   /// `warm_hint`, RfPrism::sense_warm, StreamingConfig::enable_warm_start),
   /// scan only a local window around the hint and LM-refine. Falls back to
@@ -107,29 +70,11 @@ struct DisentangleConfig {
   /// and feed every valid result back in. Off by default — and when off,
   /// every pipeline output is byte-identical to the drift-free build.
   DriftConfig drift;
-
-  /// Stage-A ranking kernel. Applies wherever the cached distance table
-  /// is available (exhaustive scan, pyramid coarse pass, warm-start
-  /// windows); the uncached scan always uses the canonical kernel.
-  /// Results are byte-identical for every choice — see RankKernel.
-  RankKernel rank_kernel = RankKernel::kFactoredSimd;
-
-  /// Tag-batched Stage-A ranking (DESIGN.md "Solver acceleration"): when a
-  /// batch entry point (RfPrism::sense_batch, StreamingSensor's per-poll
-  /// batch) carries >= 2 rounds of one deployment, rank all of them per
-  /// shared pass over the cached distance table (solve_position_batch)
-  /// instead of re-streaming the table per tag. Byte-identical to the
-  /// per-tag path for every kernel and thread count — disable only to
-  /// A/B the amortization (bench_solver does this per run, not via this
-  /// flag). Ignored wherever batching cannot apply (single rounds,
-  /// kCanonical ranking, cache disabled).
-  bool batch_rank = true;
 };
 
 /// Which Stage-A search produced a PositionSolve.
 enum class SolvePath {
-  kExhaustive,  ///< full grid scan (cached or not)
-  kPyramid,     ///< coarse-to-fine pyramid
+  kExhaustive,  ///< full grid scan
   kWarmStart,   ///< hint-windowed scan (did not fall back)
 };
 
@@ -153,29 +98,27 @@ struct OrientationSolve {
 };
 
 /// Solve position + kt from per-antenna slopes. Requires >= 3 usable lines
-/// in 2D mode (grid_nz == 1) and >= 4 in 3D mode; throws InvalidArgument
-/// otherwise. Grid search over the working region seeds an LM refinement;
-/// kt is eliminated in closed form at every candidate (it enters the
-/// equations linearly).
+/// in 2D mode (grid_nz == 1) and >= 4 in 3D mode, and a grid of at least
+/// 2x2; throws InvalidArgument otherwise. Grid search over the working
+/// region seeds an LM refinement; kt is eliminated in closed form at every
+/// candidate (it enters the equations linearly).
 PositionSolve solve_position(const DeploymentGeometry& geometry,
                              std::span<const AntennaLine> lines,
                              const DisentangleConfig& config);
 
-/// Workspace-taking overload: all scratch (the flattened SoA snapshot of
-/// the usable lines, LM buffers) lives in `ws`, so repeated solves on a
-/// warmed-up workspace do no heap allocation in the grid scan or the
-/// refinement iterations. With a non-null `pool` the Stage-A grid scan is
-/// fanned out over the pool by row chunks; results are bit-identical to
-/// the sequential scan for any pool size (each cell's cost is computed
-/// independently and the argmin reduction is first-strict-minimum in scan
-/// order).
+/// Workspace-taking overload: a one-request solve_position_batch over the
+/// cached distance table, so the single-round and batched solves share one
+/// Stage-A path. All scratch (the flattened SoA snapshot of the usable
+/// lines, LM buffers) lives in `ws`, so repeated solves on a warmed-up
+/// workspace do no heap allocation in the grid scan or the refinement
+/// iterations. With a non-null `pool` the grid scan is fanned out over the
+/// pool by row chunks; results are bit-identical for any pool size.
 ///
-/// With a non-null `cache` (and config.use_geometry_cache) the scan runs
-/// over the cached [cell x antenna] distance table instead of recomputing
-/// distances per cell — same bits, ~an order of magnitude less work. With
-/// a non-null `warm_hint` (and config.warm_start.enable) the solve first
-/// tries a local window around the hint and falls back to the full grid
-/// when the refined RMS exceeds config.warm_start.max_rms.
+/// The table comes from `cache`, or from GridGeometryCache::shared() when
+/// `cache` is null. With a non-null `warm_hint` (and
+/// config.warm_start.enable) the solve first tries a local window around
+/// the hint and falls back to the full grid when the refined RMS exceeds
+/// config.warm_start.max_rms.
 PositionSolve solve_position(const DeploymentGeometry& geometry,
                              std::span<const AntennaLine> lines,
                              const DisentangleConfig& config,
@@ -210,21 +153,18 @@ struct BatchedRankRequest {
   const Vec3* warm_hint = nullptr;
 };
 
-/// Tag-batched Stage-A position solve over one pre-acquired distance
-/// table (DisentangleConfig::batch_rank). Every request is solved exactly
-/// as a separate solve_position(geometry, lines, config, ws, pool, cache,
-/// warm_hint) call would solve it — warm windows, pyramid, exhaustive
-/// scan, center fallback and LM refinement included — and `out[i]` is
-/// byte-identical to that call for every kernel, dispatch level and pool
-/// size. What changes is the work shape: cold rounds are ranked tag-major
-/// per shared cell pass (the batched rfp::simd kernels visit each table
-/// row once for the whole batch), and warm/pyramid-fine windows batch
-/// whenever requests land on identical windows.
+/// The Stage-A position solve (DESIGN.md "Solver acceleration"): every
+/// position solve in the library, single-round ones included, runs here.
+/// Cold rounds are ranked tag-major per shared pass over the pre-acquired
+/// distance table (the batched rfp::simd kernels visit each table row
+/// once for the whole batch), warm windows batch whenever requests land
+/// on identical windows, and each winner seeds its own LM refinement.
+/// `out[i]` depends only on requests[i], never on the rest of the batch,
+/// the dispatch level or the pool size.
 ///
-/// `solved[i]` is set to 1 when out[i] holds a solve and 0 when the
-/// per-tag call would have thrown (too few usable lines); the batch never
-/// throws per tag. Requires a factored rank kernel (kCanonical has no
-/// tag-major form; callers fall back to per-tag solves), matching spans,
+/// `solved[i]` is set to 1 when out[i] holds a solve and 0 when the round
+/// cannot be solved (too few usable lines, a line naming an unknown
+/// antenna); the batch never throws per request. Requires matching spans
 /// and a table built for this geometry/config — InvalidArgument
 /// otherwise.
 void solve_position_batch(const DeploymentGeometry& geometry,
@@ -235,30 +175,28 @@ void solve_position_batch(const DeploymentGeometry& geometry,
                           std::span<std::uint8_t> solved);
 
 /// One exhaustive Stage-A *ranking* pass over a cached distance table:
-/// the winning cell under the requested kernel, with its canonical
-/// two-pass cost. Benchmark/diagnostic hook (bench_solver's kernel
-/// dimension, the factored-vs-canonical property tests) — solve_position
-/// runs the same code path internally.
+/// the winning cell with its canonical two-pass cost. Benchmark/diagnostic
+/// hook (bench_solver, the ranking property tests).
 struct StageARank {
   std::size_t cell = 0;  ///< winning cell (canonical strict-< argmin)
   double rss = 0.0;      ///< canonical two-pass rss at the winner
   double kt = 0.0;       ///< canonical closed-form kt at the winner
-  /// Cells the factored ranking re-scored canonically (the margin
-  /// candidates); n_cells() for kCanonical, which scores everything.
+  /// Cells re-scored canonically: the factored ranking's margin
+  /// candidates, or n_cells() for rank_canonical, which scores everything.
   std::size_t candidates = 0;
 };
 
-/// Rank every cell of `table` under `kernel`. The factored kernels
-/// (kFactoredScalar / kFactoredSimd) select the same winner as the
-/// canonical scan: every cell whose factored cost lies within a
-/// conservative rounding margin of the factored minimum is re-scored with
-/// the canonical kernel and the strict-< scan-order argmin of those
-/// candidates is returned. Throws InvalidArgument on fewer than 3 usable
-/// lines or a table/geometry antenna-count mismatch.
+/// Rank every cell of `table` through the production ranking — the
+/// antenna-factored kernels at `level`, then a canonical re-score of
+/// every cell within a conservative rounding margin of the factored
+/// minimum — as a one-request rank_exhaustive_batch. The winner is the
+/// canonical scan's strict-< scan-order argmin (see rank_canonical).
+/// Throws InvalidArgument on fewer than 3 usable lines, a table/geometry
+/// antenna-count mismatch, or no finite cell cost.
 StageARank rank_exhaustive(const DeploymentGeometry& geometry,
                            std::span<const AntennaLine> lines,
-                           const GridTable& table, RankKernel kernel,
-                           SolveWorkspace& ws);
+                           const GridTable& table, SolveWorkspace& ws,
+                           simd::Level level = simd::active());
 
 /// Tag-batched rank_exhaustive: one shared pass over `table` ranks every
 /// request (bench_solver's batch dimension). out[i].cell/rss/kt are
@@ -269,8 +207,16 @@ StageARank rank_exhaustive(const DeploymentGeometry& geometry,
 /// like rank_exhaustive on any invalid request; warm hints are ignored.
 void rank_exhaustive_batch(const DeploymentGeometry& geometry,
                            std::span<const BatchedRankRequest> requests,
-                           const GridTable& table, RankKernel kernel,
-                           SolveWorkspace& ws, std::span<StageARank> out);
+                           const GridTable& table, SolveWorkspace& ws,
+                           std::span<StageARank> out,
+                           simd::Level level = simd::active());
+
+/// The canonical two-pass kernel at every cell, in scan order with a
+/// strict-< argmin — the reference the production ranking must reproduce
+/// bit for bit. Test/bench oracle only; throws like rank_exhaustive.
+StageARank rank_canonical(const DeploymentGeometry& geometry,
+                          std::span<const AntennaLine> lines,
+                          const GridTable& table, SolveWorkspace& ws);
 
 /// Slope-equation RMS residual at a given position (diagnostic; also the
 /// Stage A cost function). kt is the closed-form optimum at `p`.

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -9,16 +8,18 @@
 #include <vector>
 
 #include "rfp/common/thread_pool.hpp"
-#include "rfp/common/workspace.hpp"
 #include "rfp/core/drift.hpp"
 #include "rfp/core/grid_cache.hpp"
 
 /// \file engine.hpp
 /// Shared execution resources for high-throughput sensing: one ThreadPool
-/// plus one SolveWorkspace per thread that can touch the solve path. An
-/// engine is the unit a deployment shares across pipelines, streaming
-/// sensors, and CLI batch jobs — construct it once, size it to the
-/// machine, and pass it wherever rounds need to be solved.
+/// plus the geometry cache its solves share. An engine is the unit a
+/// deployment shares across pipelines, streaming sensors, and CLI batch
+/// jobs — construct it once, size it to the machine, and pass it wherever
+/// rounds need to be solved. Scratch is per thread, never per engine:
+/// every thread that solves — each pool worker and each caller outside the
+/// pool — uses its own SolveWorkspace::for_this_thread(), so concurrent
+/// callers (several reactors, say) never share scratch.
 ///
 /// Determinism guarantee: everything executed through an engine
 /// (RfPrism::sense_batch, the pool-fanned grid scan) is bit-identical to
@@ -42,18 +43,6 @@ class SensingEngine {
   /// results stay bit-identical to the sequential path. Tasks must not
   /// let exceptions escape (see ThreadPool::submit).
   void submit(std::function<void()> task) { pool_.submit(std::move(task)); }
-
-  /// Scratch workspace for slot `slot` in [0, n_threads()]: workers use
-  /// their ThreadPool::worker_index(); the extra last slot serves the
-  /// calling (non-worker) thread when it runs chunks inline.
-  SolveWorkspace& workspace(std::size_t slot) { return workspaces_[slot]; }
-
-  /// Workspace for the current thread: its worker slot when called from a
-  /// pool worker, the caller slot otherwise.
-  SolveWorkspace& local_workspace() {
-    const std::size_t index = pool_.worker_index();
-    return workspaces_[index == ThreadPool::npos ? pool_.size() : index];
-  }
 
   /// Engine-owned geometry cache: the Stage-A distance tables shared
   /// read-only by every solve routed through this engine. Engine-less
@@ -95,7 +84,6 @@ class SensingEngine {
 
  private:
   ThreadPool pool_;
-  std::deque<SolveWorkspace> workspaces_;  // n_threads + 1, stable refs
   GridGeometryCache geometry_cache_;
   mutable std::mutex drift_mutex_;
   std::optional<DriftEstimator> drift_;

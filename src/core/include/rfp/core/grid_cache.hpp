@@ -26,10 +26,8 @@
 namespace rfp {
 
 /// Canonical Stage-A axis coordinate of grid index `i` on an axis with
-/// `n` samples spanning [lo, lo + extent]. Shared by the scan loops and
-/// the table builder so cached cell positions are bit-identical to the
-/// positions the uncached scan computes on the fly (same expression, same
-/// evaluation order).
+/// `n` samples spanning [lo, lo + extent]: the one expression every cell
+/// position in a GridTable is built from.
 inline double grid_axis_coord(double lo, double extent, std::size_t i,
                               std::size_t n) {
   return lo + extent * static_cast<double>(i) / static_cast<double>(n - 1);

@@ -100,9 +100,10 @@ class RfPrism {
                       const AntennaHealthMonitor* health = nullptr,
                       const DriftCorrections* drift = nullptr) const;
 
-  /// Engine-powered single-round sense: scratch comes from the engine's
-  /// per-thread workspaces and the Stage-A grid scan fans out over the
-  /// engine's pool. Bit-identical to sense() for any thread count.
+  /// Engine-powered single-round sense: the Stage-A grid scan fans out
+  /// over the engine's pool, and every thread involved uses its own
+  /// SolveWorkspace::for_this_thread(). Bit-identical to sense() for any
+  /// thread count.
   SensingResult sense(const RoundTrace& round, SensingEngine& engine,
                       const std::string& tag_id = {},
                       const AntennaHealthMonitor* health = nullptr,
@@ -121,11 +122,13 @@ class RfPrism {
                            SensingEngine* engine = nullptr,
                            const DriftCorrections* drift = nullptr) const;
 
-  /// Batch sensing: fan the independent rounds across the engine's pool,
-  /// one solve per round on a per-thread workspace. Results come back in
-  /// input order and are bit-identical to calling sense() on each round
-  /// sequentially — including degraded/rejected grades — regardless of
-  /// the engine's thread count. `tag_id` applies to every round.
+  /// Batch sensing: fit and grade the rounds across the engine's pool,
+  /// rank all of their positions in one shared Stage-A pass, then finish
+  /// each round on the pool. Results come back in input order and are
+  /// bit-identical to calling sense() on each round sequentially —
+  /// including degraded/rejected grades — regardless of the engine's
+  /// thread count or of other threads calling into the same engine.
+  /// `tag_id` applies to every round.
   ///
   /// Exceptions from structurally wrong rounds (antenna count mismatch)
   /// propagate: the first failing round *in input order* wins, after all
@@ -164,10 +167,11 @@ class RfPrism {
   std::vector<AntennaLine> fit_round(const RoundTrace& round,
                                      bool apply_reader_cal) const;
 
-  /// The one true sensing path: every public sense/sense_batch entry
-  /// point funnels here with an explicit workspace (and optionally a pool
-  /// for the grid scan, a geometry cache for the distance tables, and a
-  /// warm-start hint), so the sequential and batch paths cannot drift.
+  /// The single-round sensing path behind sense() and sense_warm(): an
+  /// explicit workspace (and optionally a pool for the grid scan, a
+  /// geometry cache for the distance tables, and a warm-start hint).
+  /// Shares prepare_round, solve_position_batch (via solve_position) and
+  /// finish_round with sense_batch_impl, so the two cannot drift.
   SensingResult sense_with(const RoundTrace& round, const std::string& tag_id,
                            const AntennaHealthMonitor* health,
                            SolveWorkspace& ws, ThreadPool* pool,
@@ -195,12 +199,10 @@ class RfPrism {
   SensingResult finish_round(PreparedRound& prep, const std::string& tag_id,
                              const PositionSolve& pos, SolveWorkspace& ws) const;
 
-  /// Shared body of both public sense_batch overloads. When the config
-  /// allows it (batch_rank, a factored kernel, a cacheable grid) the
-  /// Stage-A grid ranking for all rounds in the batch runs tag-major over
-  /// one shared distance-table pass (solve_position_batch); otherwise each
-  /// round solves independently on the pool as before. Results are
-  /// bit-identical either way.
+  /// Shared body of both public sense_batch overloads, singletons
+  /// included: prepare_round per round on the pool, one
+  /// solve_position_batch over the shared distance table, then
+  /// finish_round per round on the pool.
   std::vector<SensingResult> sense_batch_impl(
       std::span<const RoundTrace> rounds,
       std::span<const std::string> tag_ids, const std::string& shared_tag_id,

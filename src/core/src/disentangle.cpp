@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <span>
 #include <utility>
@@ -148,10 +147,10 @@ SlopeCost slope_cost(const RoundSnapshot& snap, Vec3 p) {
   return out;
 }
 
-/// Two-pass cached cost at one table cell: bit-identical arithmetic to
+/// Canonical two-pass cost at one table cell: bit-identical arithmetic to
 /// slope_cost (the table stores the exact distance() doubles, and the
 /// accumulation order is the same), with both sqrt walks replaced by
-/// contiguous loads — the scan's inner loop is pure multiply-add.
+/// contiguous loads. Every reported Stage-A value comes from here.
 SlopeCost cached_cell_cost(const GridTable& table, const RoundSnapshot& snap,
                            std::size_t cell) {
   const double* dist_row = table.dist.data() + cell * table.n_antennas;
@@ -198,14 +197,9 @@ double factored_margin(const RoundSnapshot& snap, const GridTable& table) {
          static_cast<double>(snap.n + snap.n_antennas + 8) * bound;
 }
 
-/// Thread-local ranking buffers for the factored scans. Pool workers keep
-/// theirs warm across chunks/solves; these cannot live in the per-solve
-/// workspace because chunks of one solve are scanned concurrently.
-std::vector<double>& local_rank_buffer() {
-  static thread_local std::vector<double> buffer;
-  return buffer;
-}
-
+/// Thread-local margin-candidate index buffer. Pool workers keep theirs
+/// warm across chunks/solves; it cannot live in the per-solve workspace
+/// because chunks of one solve are scanned concurrently.
 std::vector<std::uint32_t>& local_candidate_buffer() {
   static thread_local std::vector<std::uint32_t> buffer(64);
   return buffer;
@@ -267,264 +261,9 @@ struct GridBest {
   double rss = std::numeric_limits<double>::infinity();
   double kt = 0.0;
   Vec3 position;
-  std::size_t cell = 0;  ///< canonical cell index (when the scan has one)
+  std::size_t cell = 0;  ///< canonical cell index
   bool any = false;
 };
-
-/// Scan grid rows [row_begin, row_end) in canonical (iz, iy, ix) order.
-/// A "row" is one (iz, iy) pair: row = iz * grid_ny + iy.
-GridBest scan_grid_rows(const RoundSnapshot& snap,
-                        const DeploymentGeometry& geometry,
-                        const DisentangleConfig& config, bool mode_3d,
-                        std::size_t nz, std::size_t row_begin,
-                        std::size_t row_end) {
-  const Rect& region = geometry.working_region;
-  GridBest best;
-  for (std::size_t row = row_begin; row < row_end; ++row) {
-    const std::size_t iz = row / config.grid_ny;
-    const std::size_t iy = row % config.grid_ny;
-    const double z =
-        mode_3d ? grid_axis_coord(config.z_lo, config.z_hi - config.z_lo, iz,
-                                  nz)
-                : geometry.tag_plane_z;
-    const double y =
-        grid_axis_coord(region.lo.y, region.height(), iy, config.grid_ny);
-    for (std::size_t ix = 0; ix < config.grid_nx; ++ix) {
-      const double x =
-          grid_axis_coord(region.lo.x, region.width(), ix, config.grid_nx);
-      const Vec3 p{x, y, z};
-      const SlopeCost cost = slope_cost(snap, p);
-      if (cost.rss < best.rss) {
-        best.rss = cost.rss;
-        best.kt = cost.kt;
-        best.position = p;
-        best.cell = row * config.grid_nx + ix;
-        best.any = true;
-      }
-    }
-  }
-  return best;
-}
-
-/// Cached variant of scan_grid_rows: same rows, same scan order, same
-/// two-pass arithmetic — distances loaded from the table instead of
-/// recomputed per cell.
-GridBest scan_grid_rows_cached(const RoundSnapshot& snap,
-                               const GridTable& table, std::size_t row_begin,
-                               std::size_t row_end) {
-  GridBest best;
-  const std::size_t nx = table.spec.nx;
-  for (std::size_t row = row_begin; row < row_end; ++row) {
-    for (std::size_t ix = 0; ix < nx; ++ix) {
-      const std::size_t cell = row * nx + ix;
-      const SlopeCost cost = cached_cell_cost(table, snap, cell);
-      if (cost.rss < best.rss) {
-        best.rss = cost.rss;
-        best.kt = cost.kt;
-        best.position = table.cell_position(cell);
-        best.cell = cell;
-        best.any = true;
-      }
-    }
-  }
-  return best;
-}
-
-/// Factored-ranking variant of scan_grid_rows_cached. Two stages:
-///
-///  1. The batched sufficient-statistics kernel (rfp::simd) scores every
-///     cell of the rows into a thread-local buffer — O(n_antennas) per
-///     cell instead of O(n_lines), 3 FMAs per antenna, vectorized 8 cells
-///     wide at Level::kAvx2.
-///  2. Every cell whose factored cost lies within `margin` of the buffer
-///     minimum is re-scored with the canonical two-pass kernel under the
-///     same first-strict-minimum scan order.
-///
-/// Because the margin bounds the factored-vs-canonical rounding gap
-/// (factored_margin), the canonical argmin is always among the re-scored
-/// candidates, so the returned winner — rss, kt, position, cell — is
-/// byte-identical to scan_grid_rows_cached over the same rows, for either
-/// dispatch level. The factored costs only *rank*; they are never
-/// reported.
-GridBest scan_grid_rows_factored(const RoundSnapshot& snap,
-                                 const GridTable& table, simd::Level level,
-                                 double margin, std::size_t row_begin,
-                                 std::size_t row_end,
-                                 std::size_t* candidates = nullptr) {
-  GridBest best;
-  const std::size_t nx = table.spec.nx;
-  const std::size_t cell_begin = row_begin * nx;
-  const std::size_t cell_end = row_end * nx;
-  if (cell_begin >= cell_end) return best;
-  const std::size_t count = cell_end - cell_begin;
-
-  std::vector<double>& rank = local_rank_buffer();
-  if (rank.size() < count) rank.resize(count);
-  const simd::FactoredStats stats = factored_stats(snap);
-  const double rank_min =
-      simd::factored_rss_run(level, stats, table.dist_t.data(),
-                             table.cell_stride, cell_begin, cell_end,
-                             rank.data());
-  // All-NaN costs (a poisoned slope poisons every cell in both kernels):
-  // report "no cell", exactly like the canonical scan.
-  if (!std::isfinite(rank_min)) return best;
-
-  for (std::uint32_t i :
-       margin_candidates(rank.data(), count, rank_min + margin, level)) {
-    const std::size_t cell = cell_begin + i;
-    const SlopeCost cost = cached_cell_cost(table, snap, cell);
-    if (candidates != nullptr) ++*candidates;
-    if (cost.rss < best.rss) {
-      best.rss = cost.rss;
-      best.kt = cost.kt;
-      best.position = table.cell_position(cell);
-      best.cell = cell;
-      best.any = true;
-    }
-  }
-  return best;
-}
-
-/// Fan a row-range scan out over the pool by chunks, reducing to the
-/// first strict minimum in chunk (= scan) order; bit-identical to the
-/// sequential scan for any pool size. `scan(row_begin, row_end)` must be
-/// safe to call concurrently.
-template <typename ScanRows>
-GridBest chunked_scan(std::size_t rows, ThreadPool* pool,
-                      const ScanRows& scan) {
-  if (pool != nullptr && pool->size() > 1) {
-    const std::size_t chunk =
-        std::max<std::size_t>(1, rows / (4 * pool->size()));
-    const std::size_t n_chunks = (rows + chunk - 1) / chunk;
-    std::vector<GridBest> slots(n_chunks);
-    pool->parallel_for(rows, chunk,
-                       [&](std::size_t begin, std::size_t end, std::size_t) {
-                         slots[begin / chunk] = scan(begin, end);
-                       });
-    GridBest best;
-    for (const GridBest& slot : slots) {
-      if (slot.any && slot.rss < best.rss) best = slot;
-    }
-    return best;
-  }
-  return scan(0, rows);
-}
-
-/// Strided coarse sampling of one fine axis: 0, s, 2s, ... plus the last
-/// index (the region edges must stay reachable at the coarse level).
-void coarse_axis(std::size_t n, std::size_t stride,
-                 std::vector<std::size_t>& out) {
-  out.clear();
-  for (std::size_t i = 0; i < n; i += stride) out.push_back(i);
-  if (out.back() != n - 1) out.push_back(n - 1);
-}
-
-GridBest window_scan_factored(const RoundSnapshot& snap,
-                              const GridTable& table, simd::Level level,
-                              double margin, std::size_t x0, std::size_t x1,
-                              std::size_t y0, std::size_t y1, std::size_t z0,
-                              std::size_t z1, std::size_t* cells_scanned);
-
-/// Coarse-to-fine pyramid scan over the cached table. Deterministic and
-/// single-threaded by construction: the coarse pass ranks a strided
-/// sampling of the fine grid in canonical order keeping the top-K cells
-/// (ties broken by cell index), then full-resolution windows around each
-/// candidate are re-scanned under a strict-minimum argmin over canonical
-/// costs — overlapping windows cannot change the winner.
-///
-/// With a factored rank kernel both passes use it: the coarse ranking
-/// batches whole x-rows of the antenna-major table (only the strided
-/// entries are consumed and counted), and each fine window goes through
-/// window_scan_factored, whose winner is byte-identical to the canonical
-/// window walk — so merging per-window winners strict-< in candidate
-/// order reproduces the canonical fine pass bit-for-bit. Coarse ranking
-/// is approximate by design either way; everything reported comes from
-/// the fine pass's canonical re-scoring.
-GridBest pyramid_scan(const RoundSnapshot& snap, const GridTable& table,
-                      const DisentangleConfig& config, simd::Level level,
-                      double margin, std::size_t* cells_scanned) {
-  const std::size_t nx = table.spec.nx;
-  const std::size_t ny = table.spec.ny;
-  const std::size_t nz = table.spec.nz;
-  const std::size_t stride = std::max<std::size_t>(config.pyramid.decimation, 2);
-  const std::size_t top_k = std::max<std::size_t>(config.pyramid.top_k, 1);
-  const std::size_t radius = config.pyramid.refine_radius > 0
-                                 ? config.pyramid.refine_radius
-                                 : stride + 1;
-  const bool factored = config.rank_kernel != RankKernel::kCanonical;
-
-  // ---- Coarse pass: factored ranking over the strided sampling ---------
-  std::vector<std::size_t> xs_i, ys_i, zs_i;
-  coarse_axis(nx, stride, xs_i);
-  coarse_axis(ny, stride, ys_i);
-  coarse_axis(nz, nz > 1 ? stride : 1, zs_i);
-
-  std::vector<double>& rank = local_rank_buffer();
-  if (factored && rank.size() < nx) rank.resize(nx);
-  const simd::FactoredStats stats = factored_stats(snap);
-
-  std::vector<std::pair<double, std::size_t>> top;  // (rss, cell), ascending
-  top.reserve(top_k + 1);
-  for (std::size_t iz : zs_i) {
-    for (std::size_t iy : ys_i) {
-      const std::size_t row0 = (iz * ny + iy) * nx;
-      if (factored) {
-        simd::factored_rss_run(level, stats, table.dist_t.data(),
-                               table.cell_stride, row0, row0 + nx,
-                               rank.data());
-      }
-      for (std::size_t ix : xs_i) {
-        const std::size_t cell = row0 + ix;
-        const double rss =
-            factored ? rank[ix] : cached_cell_cost(table, snap, cell).rss;
-        const std::pair<double, std::size_t> cand{rss, cell};
-        ++*cells_scanned;
-        if (top.size() < top_k || cand < top.back()) {
-          top.insert(std::lower_bound(top.begin(), top.end(), cand), cand);
-          if (top.size() > top_k) top.pop_back();
-        }
-      }
-    }
-  }
-
-  // ---- Fine pass: canonical costs over windows around each candidate --
-  GridBest best;
-  for (const auto& [coarse_rss, cell] : top) {
-    const std::size_t cx = cell % nx;
-    const std::size_t cy = (cell / nx) % ny;
-    const std::size_t cz = cell / (nx * ny);
-    const std::size_t x0 = cx > radius ? cx - radius : 0;
-    const std::size_t x1 = std::min(cx + radius, nx - 1);
-    const std::size_t y0 = cy > radius ? cy - radius : 0;
-    const std::size_t y1 = std::min(cy + radius, ny - 1);
-    const std::size_t z0 = cz > radius ? cz - radius : 0;
-    const std::size_t z1 = std::min(cz + radius, nz - 1);
-    if (factored) {
-      const GridBest w = window_scan_factored(snap, table, level, margin, x0,
-                                              x1, y0, y1, z0, z1,
-                                              cells_scanned);
-      if (w.any && w.rss < best.rss) best = w;
-      continue;
-    }
-    for (std::size_t iz = z0; iz <= z1; ++iz) {
-      for (std::size_t iy = y0; iy <= y1; ++iy) {
-        for (std::size_t ix = x0; ix <= x1; ++ix) {
-          const std::size_t fine = (iz * ny + iy) * nx + ix;
-          const SlopeCost cost = cached_cell_cost(table, snap, fine);
-          ++*cells_scanned;
-          if (cost.rss < best.rss) {
-            best.rss = cost.rss;
-            best.kt = cost.kt;
-            best.position = table.cell_position(fine);
-            best.cell = fine;
-            best.any = true;
-          }
-        }
-      }
-    }
-  }
-  return best;
-}
 
 /// Grid-index range [i0, i1] of cells whose axis coordinate falls within
 /// [center - halfwidth, center + halfwidth]; false if the window misses
@@ -545,148 +284,26 @@ bool axis_window(double lo, double extent, std::size_t n, double center,
   return i0 <= i1;
 }
 
-/// Factored variant of the warm-start window scan body: the batched
-/// kernel scores each row segment [x0, x1] of the window into the rank
-/// buffer, then margin candidates are re-scored canonically in window
-/// scan order. Byte-identical winner to the canonical window walk (same
-/// margin argument as scan_grid_rows_factored); counts one scanned cell
-/// per window cell, like the canonical walk.
-GridBest window_scan_factored(const RoundSnapshot& snap,
-                              const GridTable& table, simd::Level level,
-                              double margin, std::size_t x0, std::size_t x1,
-                              std::size_t y0, std::size_t y1, std::size_t z0,
-                              std::size_t z1, std::size_t* cells_scanned) {
-  const std::size_t nx = table.spec.nx;
-  const std::size_t ny = table.spec.ny;
-  const std::size_t wx = x1 - x0 + 1;
-  const std::size_t n_rows = (z1 - z0 + 1) * (y1 - y0 + 1);
-  *cells_scanned += wx * n_rows;
-
-  std::vector<double>& rank = local_rank_buffer();
-  if (rank.size() < wx * n_rows) rank.resize(wx * n_rows);
-  const simd::FactoredStats stats = factored_stats(snap);
-  const std::size_t wy = y1 - y0 + 1;
-  double rank_min = std::numeric_limits<double>::infinity();
-  std::size_t slot = 0;
-  for (std::size_t iz = z0; iz <= z1; ++iz) {
-    for (std::size_t iy = y0; iy <= y1; ++iy) {
-      const std::size_t row0 = (iz * ny + iy) * nx;
-      const double row_min =
-          simd::factored_rss_run(level, stats, table.dist_t.data(),
-                                 table.cell_stride, row0 + x0, row0 + x1 + 1,
-                                 rank.data() + slot);
-      rank_min = row_min < rank_min ? row_min : rank_min;
-      slot += wx;
-    }
-  }
-
-  GridBest best;
-  if (!std::isfinite(rank_min)) return best;
-
-  // Packed slots run in canonical window order, so ascending candidate
-  // slots preserve the canonical walk's first-strict-minimum tie-break.
-  for (std::uint32_t i : margin_candidates(rank.data(), wx * n_rows,
-                                           rank_min + margin, level)) {
-    const std::size_t r = i / wx;
-    const std::size_t ix = x0 + i % wx;
-    const std::size_t iy = y0 + r % wy;
-    const std::size_t iz = z0 + r / wy;
-    const std::size_t cell = (iz * ny + iy) * nx + ix;
-    const SlopeCost cost = cached_cell_cost(table, snap, cell);
-    if (cost.rss < best.rss) {
-      best.rss = cost.rss;
-      best.kt = cost.kt;
-      best.position = table.cell_position(cell);
-      best.cell = cell;
-      best.any = true;
-    }
-  }
-  return best;
-}
-
-/// Warm-start window scan: the fine cells within warm_start.window_m of
-/// the hint, canonical order, canonical two-pass kernel (from the table
-/// when available, recomputed otherwise — same positions, same bits).
-/// With a table and a factored rank kernel the window is ranked by
-/// window_scan_factored instead — byte-identical winner, less work.
-GridBest window_scan(const RoundSnapshot& snap,
-                     const DeploymentGeometry& geometry,
-                     const DisentangleConfig& config, const GridTable* table,
-                     simd::Level level, double margin, bool mode_3d,
-                     std::size_t nz, Vec3 hint, std::size_t* cells_scanned) {
-  const Rect& region = geometry.working_region;
-  const double w = config.warm_start.window_m;
-  std::size_t x0, x1, y0, y1, z0 = 0, z1 = 0;
-  if (!axis_window(region.lo.x, region.width(), config.grid_nx, hint.x, w, x0,
-                   x1) ||
-      !axis_window(region.lo.y, region.height(), config.grid_ny, hint.y, w,
-                   y0, y1)) {
-    return {};
-  }
-  if (mode_3d && !axis_window(config.z_lo, config.z_hi - config.z_lo, nz,
-                              hint.z, w, z0, z1)) {
-    return {};
-  }
-
-  if (table != nullptr && config.rank_kernel != RankKernel::kCanonical) {
-    return window_scan_factored(snap, *table, level, margin, x0, x1, y0, y1,
-                                z0, z1, cells_scanned);
-  }
-
-  GridBest best;
-  for (std::size_t iz = z0; iz <= z1; ++iz) {
-    const double z =
-        mode_3d ? grid_axis_coord(config.z_lo, config.z_hi - config.z_lo, iz,
-                                  nz)
-                : geometry.tag_plane_z;
-    for (std::size_t iy = y0; iy <= y1; ++iy) {
-      const double y =
-          grid_axis_coord(region.lo.y, region.height(), iy, config.grid_ny);
-      for (std::size_t ix = x0; ix <= x1; ++ix) {
-        const std::size_t cell = (iz * config.grid_ny + iy) * config.grid_nx + ix;
-        SlopeCost cost;
-        Vec3 p;
-        if (table != nullptr) {
-          cost = cached_cell_cost(*table, snap, cell);
-          p = table->cell_position(cell);
-        } else {
-          p = Vec3{grid_axis_coord(region.lo.x, region.width(), ix,
-                                   config.grid_nx),
-                   y, z};
-          cost = slope_cost(snap, p);
-        }
-        ++*cells_scanned;
-        if (cost.rss < best.rss) {
-          best.rss = cost.rss;
-          best.kt = cost.kt;
-          best.position = table != nullptr ? table->cell_position(cell) : p;
-          best.cell = cell;
-          best.any = true;
-        }
-      }
-    }
-  }
-  return best;
-}
-
-// ---- Tag-batched Stage-A (DisentangleConfig::batch_rank) ---------------
+// ---- Tag-batched factored ranking --------------------------------------
 //
-// The batched scans below rank B rounds per shared pass over the cached
-// table (simd::factored_rss_run_batch streams each row once per tag tile
-// instead of once per tag). Identity argument, per tag: the batched
-// kernel's per-(tag, cell) arithmetic is exactly the single-tag kernel's,
-// and margin candidates are collected against pass-local minima — a pass
-// minimum is >= the tag's whole-scan minimum, so every pass's candidate
-// set is a superset of the single-tag scan's candidates in that range.
-// The margin guarantee (factored_margin) puts every cell whose canonical
-// cost equals the canonical minimum inside *any* such superset, and
-// candidates are re-scored canonically in scan order with a strict-<
-// argmin — so the winning cell, rss, kt and position are byte-identical
-// to the per-tag scan, only the amount of canonical re-scoring differs.
+// The scans below rank B rounds per shared pass over the cached table
+// (simd::factored_rss_run_batch streams each row once per tag tile
+// instead of once per tag), then re-score margin candidates canonically.
+// Identity argument, per tag: the batched kernel's per-(tag, cell)
+// arithmetic is exactly the single-tag kernel's, and margin candidates
+// are collected against pass-local minima — a pass minimum is >= the
+// tag's whole-scan minimum, so every pass's candidate set is a superset
+// of the cells within the margin of the whole-scan minimum. The margin
+// guarantee (factored_margin) puts every cell whose canonical cost equals
+// the canonical minimum inside *any* such superset, and candidates are
+// re-scored canonically in scan order with a strict-< argmin — so the
+// winning cell, rss, kt and position are byte-identical to the canonical
+// scan (rank_canonical) for any batch, chunking or dispatch level; only
+// the amount of canonical re-scoring differs.
 
 /// Thread-local arena for the batched kernels: per-tag value slices plus
 /// the pointer/min fan-out arrays. Pool workers keep theirs warm across
-/// chunks, like local_rank_buffer().
+/// chunks, like local_candidate_buffer().
 struct BatchRankArena {
   std::vector<double> values;
   std::vector<double*> outs;      ///< base slice per tag
@@ -713,11 +330,12 @@ BatchRankArena& local_batch_arena() {
   return arena;
 }
 
-/// Batched scan_grid_rows_factored: one shared pass over rows
-/// [row_begin, row_end) ranks every tag. Row groups are sized so the
-/// group's table planes and per-tag slices stay cache-resident while the
-/// kernel's tag tiles re-read them. bests[b] is reduced strict-< in scan
-/// order; candidates[b] (optional) counts canonical re-scores per tag.
+/// One shared pass over rows [row_begin, row_end) ranks every tag. A
+/// "row" is one (iz, iy) pair: row = iz * ny + iy. Row groups are sized
+/// so the group's table planes and per-tag slices stay cache-resident
+/// while the kernel's tag tiles re-read them. bests[b] is reduced strict-<
+/// in scan order; candidates[b] (optional) counts canonical re-scores per
+/// tag.
 void scan_grid_rows_factored_batch(const RoundSnapshot* const* snaps,
                                    const simd::FactoredStats* stats,
                                    const double* margins, std::size_t n_tags,
@@ -743,6 +361,8 @@ void scan_grid_rows_factored_batch(const RoundSnapshot* const* snaps,
                                  table.cell_stride, cell_begin, cell_end,
                                  arena.outs.data(), arena.mins.data());
     for (std::size_t b = 0; b < n_tags; ++b) {
+      // All-NaN costs (a poisoned slope poisons every cell in both
+      // kernels): no candidate, exactly like the canonical scan.
       if (!std::isfinite(arena.mins[b])) continue;
       for (std::uint32_t i :
            margin_candidates(arena.outs[b], count, arena.mins[b] + margins[b],
@@ -763,11 +383,11 @@ void scan_grid_rows_factored_batch(const RoundSnapshot* const* snaps,
   }
 }
 
-/// Batched window_scan_factored: the tags share one window, each tag's
-/// candidate threshold uses its own whole-window minimum — so per tag the
-/// candidate set, scan order and winner are exactly the single-tag
-/// window_scan_factored's. Callers account the wx*n_rows scanned cells
-/// per tag themselves (the single-tag helper does it inline).
+/// Warm-start window scan: the tags share one window [x0, x1] x [y0, y1]
+/// x [z0, z1], each tag's candidate threshold uses its own whole-window
+/// minimum, and candidates are re-scored canonically in window scan order
+/// — so each tag's winner is the canonical window walk's. Callers account
+/// the wx*n_rows scanned cells per tag themselves.
 void window_scan_factored_batch(const RoundSnapshot* const* snaps,
                                 const simd::FactoredStats* stats,
                                 const double* margins, std::size_t n_tags,
@@ -808,6 +428,8 @@ void window_scan_factored_batch(const RoundSnapshot* const* snaps,
 
   for (std::size_t b = 0; b < n_tags; ++b) {
     if (!std::isfinite(win_min[b])) continue;
+    // Packed slots run in canonical window order, so ascending candidate
+    // slots preserve the canonical walk's first-strict-minimum tie-break.
     for (std::uint32_t i : margin_candidates(arena.outs[b], wx * n_rows,
                                              win_min[b] + margins[b], level)) {
       const std::size_t r = i / wx;
@@ -828,119 +450,9 @@ void window_scan_factored_batch(const RoundSnapshot* const* snaps,
   }
 }
 
-/// Window bounds as a grouping key: fine/warm windows that coincide
-/// across tags share one batched scan.
+/// Window bounds as a grouping key: warm windows that coincide across
+/// tags share one batched scan.
 using WindowKey = std::array<std::size_t, 6>;
-
-/// Batched pyramid_scan: one shared coarse pass feeds per-tag top-K
-/// selections, then the fine windows are grouped across tags by identical
-/// bounds and each group is scanned batched. Per-tag fine results are
-/// merged strict-< in that tag's candidate order, so bests[b] and
-/// cells_scanned[b] are byte-identical to the single-tag pyramid_scan.
-void pyramid_scan_batch(const RoundSnapshot* const* snaps,
-                        const simd::FactoredStats* stats,
-                        const double* margins, std::size_t n_tags,
-                        const GridTable& table,
-                        const DisentangleConfig& config, simd::Level level,
-                        GridBest* bests, std::size_t* cells_scanned) {
-  const std::size_t nx = table.spec.nx;
-  const std::size_t ny = table.spec.ny;
-  const std::size_t nz = table.spec.nz;
-  const std::size_t stride =
-      std::max<std::size_t>(config.pyramid.decimation, 2);
-  const std::size_t top_k = std::max<std::size_t>(config.pyramid.top_k, 1);
-  const std::size_t radius = config.pyramid.refine_radius > 0
-                                 ? config.pyramid.refine_radius
-                                 : stride + 1;
-
-  std::vector<std::size_t> xs_i, ys_i, zs_i;
-  coarse_axis(nx, stride, xs_i);
-  coarse_axis(ny, stride, ys_i);
-  coarse_axis(nz, nz > 1 ? stride : 1, zs_i);
-
-  // ---- Coarse pass: one batched full-row ranking per sampled row -------
-  BatchRankArena& arena = local_batch_arena();
-  std::vector<std::vector<std::pair<double, std::size_t>>> tops(n_tags);
-  for (auto& top : tops) top.reserve(top_k + 1);
-  for (std::size_t iz : zs_i) {
-    for (std::size_t iy : ys_i) {
-      const std::size_t row0 = (iz * ny + iy) * nx;
-      arena.reserve(n_tags, nx);
-      simd::factored_rss_run_batch(level, stats, n_tags, table.dist_t.data(),
-                                   table.cell_stride, row0, row0 + nx,
-                                   arena.outs.data(), arena.mins.data());
-      for (std::size_t b = 0; b < n_tags; ++b) {
-        auto& top = tops[b];
-        for (std::size_t ix : xs_i) {
-          const std::pair<double, std::size_t> cand{arena.outs[b][ix],
-                                                    row0 + ix};
-          ++cells_scanned[b];
-          if (top.size() < top_k || cand < top.back()) {
-            top.insert(std::lower_bound(top.begin(), top.end(), cand), cand);
-            if (top.size() > top_k) top.pop_back();
-          }
-        }
-      }
-    }
-  }
-
-  // ---- Fine pass: identical windows batch across tags ------------------
-  std::map<WindowKey, std::vector<std::pair<std::size_t, std::size_t>>>
-      groups;  // window -> [(tag, candidate rank)]
-  for (std::size_t b = 0; b < n_tags; ++b) {
-    for (std::size_t r = 0; r < tops[b].size(); ++r) {
-      const std::size_t cell = tops[b][r].second;
-      const std::size_t cx = cell % nx;
-      const std::size_t cy = (cell / nx) % ny;
-      const std::size_t cz = cell / (nx * ny);
-      const WindowKey key{cx > radius ? cx - radius : 0,
-                          std::min(cx + radius, nx - 1),
-                          cy > radius ? cy - radius : 0,
-                          std::min(cy + radius, ny - 1),
-                          cz > radius ? cz - radius : 0,
-                          std::min(cz + radius, nz - 1)};
-      groups[key].push_back({b, r});
-    }
-  }
-
-  std::vector<std::vector<GridBest>> fine(n_tags);
-  for (std::size_t b = 0; b < n_tags; ++b) fine[b].resize(tops[b].size());
-  std::vector<const RoundSnapshot*> g_snaps;
-  std::vector<simd::FactoredStats> g_stats;
-  std::vector<double> g_margins;
-  std::vector<GridBest> g_bests;
-  for (const auto& [key, members] : groups) {
-    g_snaps.clear();
-    g_stats.clear();
-    g_margins.clear();
-    for (const auto& [b, r] : members) {
-      g_snaps.push_back(snaps[b]);
-      g_stats.push_back(stats[b]);
-      g_margins.push_back(margins[b]);
-    }
-    g_bests.assign(members.size(), GridBest{});
-    window_scan_factored_batch(g_snaps.data(), g_stats.data(),
-                               g_margins.data(), members.size(), table, level,
-                               key[0], key[1], key[2], key[3], key[4], key[5],
-                               g_bests.data());
-    const std::size_t window_cells = (key[1] - key[0] + 1) *
-                                     (key[3] - key[2] + 1) *
-                                     (key[5] - key[4] + 1);
-    for (std::size_t j = 0; j < members.size(); ++j) {
-      const auto [b, r] = members[j];
-      fine[b][r] = g_bests[j];
-      cells_scanned[b] += window_cells;
-    }
-  }
-
-  // Merge per tag in candidate order (the sequential fine-pass order), so
-  // exact-tie resolution between windows matches the single-tag scan.
-  for (std::size_t b = 0; b < n_tags; ++b) {
-    for (const GridBest& w : fine[b]) {
-      if (w.any && w.rss < bests[b].rss) bests[b] = w;
-    }
-  }
-}
 
 /// Per-workspace scratch of the batched entry points: snapshots and
 /// selection arrays reused across batches.
@@ -950,19 +462,20 @@ struct BatchScratch {
   std::vector<double> margins;
   std::vector<std::uint8_t> done;
   std::vector<std::size_t> pending;
+  /// Warm requests keyed by window, sorted so equal windows are adjacent.
+  std::vector<std::pair<WindowKey, std::size_t>> warm;
   std::vector<const RoundSnapshot*> sel_snaps;
   std::vector<simd::FactoredStats> sel_stats;
   std::vector<double> sel_margins;
   std::vector<GridBest> bests;
-  std::vector<std::size_t> cells;
   std::vector<GridBest> chunk_slots;
   std::vector<std::size_t> candidates;
 };
 
 /// Stage A2: Levenberg-Marquardt refinement of a Stage-A1 winner plus the
-/// final PositionSolve assembly. Shared verbatim by the exhaustive,
-/// pyramid and warm-start paths so they differ only in which grid cells
-/// seed the refinement.
+/// final PositionSolve assembly. Shared verbatim by the exhaustive and
+/// warm-start paths so they differ only in which grid cells seed the
+/// refinement.
 PositionSolve refine_and_finish(const RoundSnapshot& snap,
                                 const DeploymentGeometry& geometry,
                                 const DisentangleConfig& config,
@@ -1033,19 +546,12 @@ PositionSolve refine_and_finish(const RoundSnapshot& snap,
   return solve;
 }
 
-/// Thread-local fallback workspace backing the workspace-free public
-/// overloads (and the diagnostics). Per-thread, so the legacy API stays
-/// safe to call from pool workers.
-SolveWorkspace& local_workspace() {
-  static thread_local SolveWorkspace ws;
-  return ws;
-}
-
 }  // namespace
 
 double position_cost(const DeploymentGeometry& geometry,
                      std::span<const AntennaLine> lines, Vec3 p) {
-  RoundSnapshot& snap = local_workspace().scratch<RoundSnapshot>();
+  RoundSnapshot& snap =
+      SolveWorkspace::for_this_thread().scratch<RoundSnapshot>();
   build_snapshot(geometry, lines, snap);
   require(snap.n > 0, "position_cost: no usable lines");
   return std::sqrt(slope_cost(snap, p).rss / static_cast<double>(snap.n));
@@ -1054,7 +560,8 @@ double position_cost(const DeploymentGeometry& geometry,
 double orientation_cost(const DeploymentGeometry& geometry,
                         std::span<const AntennaLine> lines, Vec3 tag_position,
                         Vec3 w) {
-  RoundSnapshot& snap = local_workspace().scratch<RoundSnapshot>();
+  RoundSnapshot& snap =
+      SolveWorkspace::for_this_thread().scratch<RoundSnapshot>();
   build_snapshot(geometry, lines, snap);
   require(snap.n > 0, "orientation_cost: no usable lines");
   require(geometry.antenna_frames.size() == geometry.n_antennas(),
@@ -1067,8 +574,8 @@ double orientation_cost(const DeploymentGeometry& geometry,
 PositionSolve solve_position(const DeploymentGeometry& geometry,
                              std::span<const AntennaLine> lines,
                              const DisentangleConfig& config) {
-  return solve_position(geometry, lines, config, local_workspace(), nullptr,
-                        &GridGeometryCache::shared());
+  return solve_position(geometry, lines, config,
+                        SolveWorkspace::for_this_thread());
 }
 
 PositionSolve solve_position(const DeploymentGeometry& geometry,
@@ -1076,100 +583,19 @@ PositionSolve solve_position(const DeploymentGeometry& geometry,
                              const DisentangleConfig& config,
                              SolveWorkspace& ws, ThreadPool* pool,
                              GridGeometryCache* cache, const Vec3* warm_hint) {
-  RoundSnapshot& snap = ws.scratch<RoundSnapshot>();
-  build_snapshot(geometry, lines, snap);
-  const bool mode_3d = config.grid_nz > 1;
-  const std::size_t min_antennas = mode_3d ? 4 : 3;
-  require(snap.n >= min_antennas,
-          "solve_position: not enough usable antenna lines");
-  require(config.grid_nx >= 2 && config.grid_ny >= 2,
-          "solve_position: grid too coarse");
-
-  const Rect& region = geometry.working_region;
-  const std::size_t nz = std::max<std::size_t>(config.grid_nz, 1);
-  const std::size_t rows = nz * config.grid_ny;
-
-  std::shared_ptr<const GridTable> table;
-  if (cache != nullptr && config.use_geometry_cache) {
-    table = cache->acquire(
-        geometry,
-        GridSpec{config.grid_nx, config.grid_ny, nz, config.z_lo, config.z_hi});
-  }
-
-  // Ranking-kernel selection (see RankKernel): factored ranking needs the
-  // antenna-major table, so uncached solves always rank canonically. The
-  // dispatch level is resolved once per solve; kFactoredScalar pins the
-  // scalar kernel regardless of what the CPU supports.
-  const bool factored =
-      table != nullptr && config.rank_kernel != RankKernel::kCanonical;
-  const simd::Level level = config.rank_kernel == RankKernel::kFactoredSimd
-                                ? simd::active()
-                                : simd::Level::kScalar;
-  const double margin = factored ? factored_margin(snap, *table) : 0.0;
-
-  // ---- Stage A0: warm start — windowed scan around the caller's hint ---
-  if (warm_hint != nullptr && config.warm_start.enable) {
-    std::size_t cells = 0;
-    const GridBest windowed =
-        window_scan(snap, geometry, config, table.get(), level, margin,
-                    mode_3d, nz, *warm_hint, &cells);
-    if (windowed.any && std::isfinite(windowed.rss)) {
-      PositionSolve warm =
-          refine_and_finish(snap, geometry, config, ws, mode_3d, windowed);
-      if (warm.rms <= config.warm_start.max_rms) {
-        warm.path = SolvePath::kWarmStart;
-        warm.cells_scanned = cells;
-        return warm;
-      }
-    }
-    // Hint missed or residual too high: fall through to the full solve,
-    // byte-identical to the hint-less call.
-  }
-
-  // ---- Stage A1: grid multi-start over the working region -------------
-  // Every cell's cost is independent, so the scan fans out over the pool
-  // by row chunks; the reduction takes the first strict minimum in scan
-  // order, which makes the winner identical for any chunking.
-  GridBest best;
-  std::size_t cells_scanned = rows * config.grid_nx;
-  SolvePath path = SolvePath::kExhaustive;
-  if (config.pyramid.enable && table != nullptr) {
-    cells_scanned = 0;
-    best = pyramid_scan(snap, *table, config, level, margin, &cells_scanned);
-    path = SolvePath::kPyramid;
-  } else if (factored) {
-    best = chunked_scan(rows, pool,
-                        [&](std::size_t begin, std::size_t end) {
-                          return scan_grid_rows_factored(snap, *table, level,
-                                                         margin, begin, end);
-                        });
-  } else if (table != nullptr) {
-    best = chunked_scan(rows, pool,
-                        [&](std::size_t begin, std::size_t end) {
-                          return scan_grid_rows_cached(snap, *table, begin,
-                                                       end);
-                        });
-  } else {
-    best = chunked_scan(rows, pool,
-                        [&](std::size_t begin, std::size_t end) {
-                          return scan_grid_rows(snap, geometry, config,
-                                                mode_3d, nz, begin, end);
-                        });
-  }
-  if (!best.any || !std::isfinite(best.rss)) {
-    // Pathological (all costs NaN/inf): fall back to the region center,
-    // like the pre-snapshot implementation's initial candidate.
-    best.position = Vec3{region.center().x, region.center().y,
-                         geometry.tag_plane_z};
-    const SlopeCost cost = slope_cost(snap, best.position);
-    best.kt = cost.kt;
-    best.rss = cost.rss;
-  }
-
-  PositionSolve solve =
-      refine_and_finish(snap, geometry, config, ws, mode_3d, best);
-  solve.path = path;
-  solve.cells_scanned = cells_scanned;
+  GridGeometryCache& tables =
+      cache != nullptr ? *cache : GridGeometryCache::shared();
+  const std::shared_ptr<const GridTable> table = tables.acquire(
+      geometry,
+      GridSpec{config.grid_nx, config.grid_ny,
+               std::max<std::size_t>(config.grid_nz, 1), config.z_lo,
+               config.z_hi});
+  const BatchedRankRequest request{lines, warm_hint};
+  PositionSolve solve;
+  std::uint8_t solved = 0;
+  solve_position_batch(geometry, {&request, 1}, config, ws, pool, *table,
+                       {&solve, 1}, {&solved, 1});
+  require(solved != 0, "solve_position: not enough usable antenna lines");
   return solve;
 }
 
@@ -1181,8 +607,6 @@ void solve_position_batch(const DeploymentGeometry& geometry,
                           std::span<std::uint8_t> solved) {
   require(out.size() == requests.size() && solved.size() == requests.size(),
           "solve_position_batch: output spans must match requests");
-  require(config.rank_kernel != RankKernel::kCanonical,
-          "solve_position_batch: canonical ranking has no tag-major form");
   require(table.n_antennas == geometry.n_antennas(),
           "solve_position_batch: table/geometry antenna count mismatch");
   require(config.grid_nx >= 2 && config.grid_ny >= 2,
@@ -1197,9 +621,9 @@ void solve_position_batch(const DeploymentGeometry& geometry,
   const std::size_t rows = nz * config.grid_ny;
   const std::size_t n = requests.size();
   const Rect& region = geometry.working_region;
-  const simd::Level level = config.rank_kernel == RankKernel::kFactoredSimd
-                                ? simd::active()
-                                : simd::Level::kScalar;
+  // AVX2 where cpuid offers it, the factored-scalar kernels otherwise
+  // (RFP_FORCE_SCALAR, -DRFP_DISABLE_SIMD): same winners either way.
+  const simd::Level level = simd::active();
 
   BatchScratch& scr = ws.scratch<BatchScratch>();
   if (scr.snaps.size() < n) scr.snaps.resize(n);
@@ -1212,7 +636,7 @@ void solve_position_batch(const DeploymentGeometry& geometry,
       build_snapshot(geometry, requests[b].lines, snap);
       solved[b] = snap.n >= min_antennas ? 1 : 0;
     } catch (const Error&) {
-      solved[b] = 0;  // malformed lines: the per-tag call throws too
+      solved[b] = 0;  // a line names an unknown antenna
     }
     if (solved[b] == 0) {
       scr.done[b] = 1;
@@ -1224,7 +648,7 @@ void solve_position_batch(const DeploymentGeometry& geometry,
 
   // ---- Stage A0: warm starts, grouped by identical hint windows --------
   if (config.warm_start.enable) {
-    std::map<WindowKey, std::vector<std::size_t>> warm_groups;
+    scr.warm.clear();
     const double w = config.warm_start.window_m;
     for (std::size_t b = 0; b < n; ++b) {
       if (scr.done[b] != 0 || requests[b].warm_hint == nullptr) continue;
@@ -1234,33 +658,41 @@ void solve_position_batch(const DeploymentGeometry& geometry,
                        x0, x1) ||
           !axis_window(region.lo.y, region.height(), config.grid_ny, hint.y, w,
                        y0, y1)) {
-        continue;  // hint missed the region: cold solve, like window_scan
+        continue;  // hint missed the region: cold solve
       }
       if (mode_3d && !axis_window(config.z_lo, config.z_hi - config.z_lo, nz,
                                   hint.z, w, z0, z1)) {
         continue;
       }
-      warm_groups[WindowKey{x0, x1, y0, y1, z0, z1}].push_back(b);
+      scr.warm.emplace_back(WindowKey{x0, x1, y0, y1, z0, z1}, b);
     }
-    for (const auto& [key, members] : warm_groups) {
+    // Sorted in place so warm solves stay off the heap once the scratch is
+    // warm; within a window, requests stay in input order.
+    std::sort(scr.warm.begin(), scr.warm.end());
+    for (std::size_t g = 0; g < scr.warm.size();) {
+      const WindowKey& key = scr.warm[g].first;
+      std::size_t g_end = g + 1;
+      while (g_end < scr.warm.size() && scr.warm[g_end].first == key) ++g_end;
+      const std::size_t n_members = g_end - g;
       scr.sel_snaps.clear();
       scr.sel_stats.clear();
       scr.sel_margins.clear();
-      for (std::size_t b : members) {
+      for (std::size_t j = g; j < g_end; ++j) {
+        const std::size_t b = scr.warm[j].second;
         scr.sel_snaps.push_back(&scr.snaps[b]);
         scr.sel_stats.push_back(scr.stats[b]);
         scr.sel_margins.push_back(scr.margins[b]);
       }
-      scr.bests.assign(members.size(), GridBest{});
+      scr.bests.assign(n_members, GridBest{});
       window_scan_factored_batch(scr.sel_snaps.data(), scr.sel_stats.data(),
-                                 scr.sel_margins.data(), members.size(), table,
+                                 scr.sel_margins.data(), n_members, table,
                                  level, key[0], key[1], key[2], key[3], key[4],
                                  key[5], scr.bests.data());
       const std::size_t window_cells = (key[1] - key[0] + 1) *
                                        (key[3] - key[2] + 1) *
                                        (key[5] - key[4] + 1);
-      for (std::size_t j = 0; j < members.size(); ++j) {
-        const std::size_t b = members[j];
+      for (std::size_t j = 0; j < n_members; ++j) {
+        const std::size_t b = scr.warm[g + j].second;
         const GridBest& windowed = scr.bests[j];
         if (!windowed.any || !std::isfinite(windowed.rss)) continue;
         PositionSolve warm = refine_and_finish(scr.snaps[b], geometry, config,
@@ -1271,9 +703,10 @@ void solve_position_batch(const DeploymentGeometry& geometry,
           out[b] = warm;
           scr.done[b] = 1;
         }
-        // Otherwise fall through to the cold batch, byte-identical to the
-        // hint-less per-tag call.
+        // Otherwise fall through to the cold pass, byte-identical to the
+        // hint-less solve.
       }
+      g = g_end;
     }
   }
 
@@ -1293,52 +726,40 @@ void solve_position_batch(const DeploymentGeometry& geometry,
     scr.sel_margins.push_back(scr.margins[b]);
   }
   scr.bests.assign(n_pending, GridBest{});
-  scr.cells.assign(n_pending, 0);
 
-  SolvePath path = SolvePath::kExhaustive;
-  if (config.pyramid.enable) {
-    path = SolvePath::kPyramid;
-    pyramid_scan_batch(scr.sel_snaps.data(), scr.sel_stats.data(),
-                       scr.sel_margins.data(), n_pending, table, config, level,
-                       scr.bests.data(), scr.cells.data());
-  } else {
-    for (std::size_t p = 0; p < n_pending; ++p) {
-      scr.cells[p] = rows * config.grid_nx;
-    }
-    if (pool != nullptr && pool->size() > 1) {
-      // Same chunk boundaries as chunked_scan; per-(chunk, tag) bests are
-      // reduced strict-< in chunk order per tag, so the winner matches the
-      // sequential batched pass (and hence the per-tag scan) exactly.
-      const std::size_t chunk =
-          std::max<std::size_t>(1, rows / (4 * pool->size()));
-      const std::size_t n_chunks = (rows + chunk - 1) / chunk;
-      scr.chunk_slots.assign(n_chunks * n_pending, GridBest{});
-      pool->parallel_for(
-          rows, chunk, [&](std::size_t begin, std::size_t end, std::size_t) {
-            scan_grid_rows_factored_batch(
-                scr.sel_snaps.data(), scr.sel_stats.data(),
-                scr.sel_margins.data(), n_pending, table, level, begin, end,
-                scr.chunk_slots.data() + (begin / chunk) * n_pending);
-          });
-      for (std::size_t c = 0; c < n_chunks; ++c) {
-        for (std::size_t p = 0; p < n_pending; ++p) {
-          const GridBest& slot = scr.chunk_slots[c * n_pending + p];
-          if (slot.any && slot.rss < scr.bests[p].rss) scr.bests[p] = slot;
-        }
+  if (pool != nullptr && pool->size() > 1) {
+    // Rows fan out over the pool by chunks; per-(chunk, tag) bests are
+    // reduced strict-< in chunk order per tag, so the winner matches the
+    // sequential pass exactly for any pool size.
+    const std::size_t chunk =
+        std::max<std::size_t>(1, rows / (4 * pool->size()));
+    const std::size_t n_chunks = (rows + chunk - 1) / chunk;
+    scr.chunk_slots.assign(n_chunks * n_pending, GridBest{});
+    pool->parallel_for(
+        rows, chunk, [&](std::size_t begin, std::size_t end, std::size_t) {
+          scan_grid_rows_factored_batch(
+              scr.sel_snaps.data(), scr.sel_stats.data(),
+              scr.sel_margins.data(), n_pending, table, level, begin, end,
+              scr.chunk_slots.data() + (begin / chunk) * n_pending);
+        });
+    for (std::size_t c = 0; c < n_chunks; ++c) {
+      for (std::size_t p = 0; p < n_pending; ++p) {
+        const GridBest& slot = scr.chunk_slots[c * n_pending + p];
+        if (slot.any && slot.rss < scr.bests[p].rss) scr.bests[p] = slot;
       }
-    } else {
-      scan_grid_rows_factored_batch(scr.sel_snaps.data(), scr.sel_stats.data(),
-                                    scr.sel_margins.data(), n_pending, table,
-                                    level, 0, rows, scr.bests.data());
     }
+  } else {
+    scan_grid_rows_factored_batch(scr.sel_snaps.data(), scr.sel_stats.data(),
+                                  scr.sel_margins.data(), n_pending, table,
+                                  level, 0, rows, scr.bests.data());
   }
 
   for (std::size_t p = 0; p < n_pending; ++p) {
     const std::size_t b = scr.pending[p];
     GridBest best = scr.bests[p];
     if (!best.any || !std::isfinite(best.rss)) {
-      // Pathological (all costs NaN/inf): region-center fallback, same as
-      // the per-tag solve.
+      // Pathological (all costs NaN/inf): fall back to the region center,
+      // like the pre-snapshot implementation's initial candidate.
       best.position = Vec3{region.center().x, region.center().y,
                            geometry.tag_plane_z};
       const SlopeCost cost = slope_cost(scr.snaps[b], best.position);
@@ -1347,16 +768,16 @@ void solve_position_batch(const DeploymentGeometry& geometry,
     }
     PositionSolve solve =
         refine_and_finish(scr.snaps[b], geometry, config, ws, mode_3d, best);
-    solve.path = path;
-    solve.cells_scanned = scr.cells[p];
+    solve.path = SolvePath::kExhaustive;
+    solve.cells_scanned = rows * config.grid_nx;
     out[b] = solve;
   }
 }
 
 void rank_exhaustive_batch(const DeploymentGeometry& geometry,
                            std::span<const BatchedRankRequest> requests,
-                           const GridTable& table, RankKernel kernel,
-                           SolveWorkspace& ws, std::span<StageARank> out) {
+                           const GridTable& table, SolveWorkspace& ws,
+                           std::span<StageARank> out, simd::Level level) {
   require(out.size() == requests.size(),
           "rank_exhaustive_batch: output span must match requests");
   require(table.n_antennas == geometry.n_antennas(),
@@ -1365,28 +786,13 @@ void rank_exhaustive_batch(const DeploymentGeometry& geometry,
   const std::size_t rows = table.spec.nz * table.spec.ny;
   BatchScratch& scr = ws.scratch<BatchScratch>();
   if (scr.snaps.size() < n) scr.snaps.resize(n);
-  for (std::size_t b = 0; b < n; ++b) {
-    build_snapshot(geometry, requests[b].lines, scr.snaps[b]);
-    require(scr.snaps[b].n >= 3,
-            "rank_exhaustive: not enough usable antenna lines");
-  }
-
-  if (kernel == RankKernel::kCanonical) {
-    for (std::size_t b = 0; b < n; ++b) {
-      const GridBest best = scan_grid_rows_cached(scr.snaps[b], table, 0, rows);
-      require(best.any, "rank_exhaustive: no finite cell cost");
-      out[b] = StageARank{best.cell, best.rss, best.kt, table.n_cells()};
-    }
-    return;
-  }
-
-  const simd::Level level = kernel == RankKernel::kFactoredSimd
-                                ? simd::active()
-                                : simd::Level::kScalar;
   scr.sel_snaps.clear();
   scr.sel_stats.clear();
   scr.sel_margins.clear();
   for (std::size_t b = 0; b < n; ++b) {
+    build_snapshot(geometry, requests[b].lines, scr.snaps[b]);
+    require(scr.snaps[b].n >= 3,
+            "rank_exhaustive: not enough usable antenna lines");
     scr.sel_snaps.push_back(&scr.snaps[b]);
     scr.sel_stats.push_back(factored_stats(scr.snaps[b]));
     scr.sel_margins.push_back(factored_margin(scr.snaps[b], table));
@@ -1405,34 +811,37 @@ void rank_exhaustive_batch(const DeploymentGeometry& geometry,
 
 StageARank rank_exhaustive(const DeploymentGeometry& geometry,
                            std::span<const AntennaLine> lines,
-                           const GridTable& table, RankKernel kernel,
-                           SolveWorkspace& ws) {
+                           const GridTable& table, SolveWorkspace& ws,
+                           simd::Level level) {
+  const BatchedRankRequest request{lines, nullptr};
+  StageARank out;
+  rank_exhaustive_batch(geometry, {&request, 1}, table, ws, {&out, 1}, level);
+  return out;
+}
+
+StageARank rank_canonical(const DeploymentGeometry& geometry,
+                          std::span<const AntennaLine> lines,
+                          const GridTable& table, SolveWorkspace& ws) {
+  require(table.n_antennas == geometry.n_antennas(),
+          "rank_canonical: table/geometry antenna count mismatch");
   RoundSnapshot& snap = ws.scratch<RoundSnapshot>();
   build_snapshot(geometry, lines, snap);
-  require(snap.n >= 3, "rank_exhaustive: not enough usable antenna lines");
-  require(table.n_antennas == geometry.n_antennas(),
-          "rank_exhaustive: table/geometry antenna count mismatch");
+  require(snap.n >= 3, "rank_canonical: not enough usable antenna lines");
 
-  const std::size_t rows = table.spec.nz * table.spec.ny;
-  GridBest best;
   StageARank out;
-  if (kernel == RankKernel::kCanonical) {
-    best = scan_grid_rows_cached(snap, table, 0, rows);
-    out.candidates = table.n_cells();
-  } else {
-    const simd::Level level = kernel == RankKernel::kFactoredSimd
-                                  ? simd::active()
-                                  : simd::Level::kScalar;
-    std::size_t candidates = 0;
-    best = scan_grid_rows_factored(snap, table, level,
-                                   factored_margin(snap, table), 0, rows,
-                                   &candidates);
-    out.candidates = candidates;
+  out.rss = std::numeric_limits<double>::infinity();
+  out.candidates = table.n_cells();
+  bool any = false;
+  for (std::size_t cell = 0; cell < table.n_cells(); ++cell) {
+    const SlopeCost cost = cached_cell_cost(table, snap, cell);
+    if (cost.rss < out.rss) {
+      out.rss = cost.rss;
+      out.kt = cost.kt;
+      out.cell = cell;
+      any = true;
+    }
   }
-  require(best.any, "rank_exhaustive: no finite cell cost");
-  out.cell = best.cell;
-  out.rss = best.rss;
-  out.kt = best.kt;
+  require(any, "rank_canonical: no finite cell cost");
   return out;
 }
 
@@ -1441,7 +850,7 @@ OrientationSolve solve_orientation(const DeploymentGeometry& geometry,
                                    Vec3 tag_position,
                                    const DisentangleConfig& config) {
   return solve_orientation(geometry, lines, tag_position, config,
-                           local_workspace());
+                           SolveWorkspace::for_this_thread());
 }
 
 OrientationSolve solve_orientation(const DeploymentGeometry& geometry,

@@ -15,10 +15,7 @@ std::size_t resolve_threads(std::size_t n_threads) {
 }  // namespace
 
 SensingEngine::SensingEngine(std::size_t n_threads)
-    : pool_(resolve_threads(n_threads)) {
-  // One workspace per worker plus one for the calling thread.
-  workspaces_.resize(pool_.size() + 1);
-}
+    : pool_(resolve_threads(n_threads)) {}
 
 void SensingEngine::enable_drift(std::size_t n_antennas, DriftConfig config) {
   DriftEstimator estimator(n_antennas, std::move(config));

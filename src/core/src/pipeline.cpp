@@ -99,20 +99,12 @@ SensingResult& reject(SensingResult& result, RejectReason reason) {
   return result;
 }
 
-/// Scratch for the workspace-free sense() overload. Thread-local, so the
-/// legacy API is safe from any thread and still allocation-free at steady
-/// state.
-SolveWorkspace& fallback_workspace() {
-  static thread_local SolveWorkspace ws;
-  return ws;
-}
-
 }  // namespace
 
 SensingResult RfPrism::sense(const RoundTrace& round, const std::string& tag_id,
                              const AntennaHealthMonitor* health,
                              const DriftCorrections* drift) const {
-  return sense_with(round, tag_id, health, fallback_workspace(),
+  return sense_with(round, tag_id, health, SolveWorkspace::for_this_thread(),
                     /*pool=*/nullptr, &GridGeometryCache::shared(),
                     /*warm_hint=*/nullptr, drift);
 }
@@ -121,7 +113,7 @@ SensingResult RfPrism::sense(const RoundTrace& round, SensingEngine& engine,
                              const std::string& tag_id,
                              const AntennaHealthMonitor* health,
                              const DriftCorrections* drift) const {
-  return sense_with(round, tag_id, health, engine.local_workspace(),
+  return sense_with(round, tag_id, health, SolveWorkspace::for_this_thread(),
                     &engine.pool(), &engine.geometry_cache(),
                     /*warm_hint=*/nullptr, drift);
 }
@@ -132,11 +124,11 @@ SensingResult RfPrism::sense_warm(const RoundTrace& round,
                                   SensingEngine* engine,
                                   const DriftCorrections* drift) const {
   if (engine != nullptr) {
-    return sense_with(round, tag_id, health, engine->local_workspace(),
+    return sense_with(round, tag_id, health, SolveWorkspace::for_this_thread(),
                       &engine->pool(), &engine->geometry_cache(), &hint,
                       drift);
   }
-  return sense_with(round, tag_id, health, fallback_workspace(),
+  return sense_with(round, tag_id, health, SolveWorkspace::for_this_thread(),
                     /*pool=*/nullptr, &GridGeometryCache::shared(), &hint,
                     drift);
 }
@@ -178,47 +170,11 @@ std::vector<SensingResult> RfPrism::sense_batch_impl(
                                                               : nullptr;
   };
 
-  // The tag-major Stage-A pass needs a factored kernel, a shared cached
-  // distance table, and a non-degenerate grid (GridGeometryCache::acquire
-  // throws on degenerate grids, whereas the per-round path converts that
-  // into a per-round kSolverFailure — so degenerate configs must keep the
-  // per-round path). Singletons gain nothing from batching.
-  const bool batched = dc.batch_rank && rounds.size() >= 2 &&
-                       dc.use_geometry_cache &&
-                       dc.rank_kernel != RankKernel::kCanonical &&
-                       dc.grid_nx >= 2 && dc.grid_ny >= 2;
-  if (!batched) {
-    // One round per chunk: per-tag solves are the natural work quantum
-    // (~ms each), and every chunk writes only its own pre-assigned result
-    // slot, so results are in input order and independent of scheduling.
-    // Inner solves do NOT use the pool (a busy pool must never be waited
-    // on from inside itself beyond parallel_for's inline fallback).
-    engine.pool().parallel_for(
-        rounds.size(), 1,
-        [&](std::size_t begin, std::size_t end, std::size_t slot) {
-          for (std::size_t i = begin; i < end; ++i) {
-            results[i] = sense_with(rounds[i], tag_of(i), health,
-                                    engine.workspace(slot), /*pool=*/nullptr,
-                                    &engine.geometry_cache(), hint_of(i),
-                                    drift);
-          }
-        });
-    return results;
-  }
-
-  // ---- Tag-batched Stage-A path ---------------------------------------
-  // Every round in the batch shares the deployment geometry, so the cache
-  // lookup hoists out of the per-round loop: one digest+lock per batch
-  // instead of one per round.
-  const std::size_t nz = std::max<std::size_t>(dc.grid_nz, 1);
-  const std::shared_ptr<const GridTable> table =
-      engine.geometry_cache().acquire(
-          config_.geometry,
-          GridSpec{dc.grid_nx, dc.grid_ny, nz, dc.z_lo, dc.z_hi});
-
-  // Phase 1: fit + gate every round on the pool. prepare_round needs no
+  // Phase 1: fit + gate every round on the pool, one round per chunk
+  // (every chunk writes only its own pre-assigned slot, so results are in
+  // input order and independent of scheduling). prepare_round needs no
   // workspace; exceptions (antenna-count mismatch) keep parallel_for's
-  // first-in-chunk-order semantics, same as the per-round path.
+  // first-in-chunk-order semantics.
   std::vector<PreparedRound> preps(rounds.size());
   engine.pool().parallel_for(
       rounds.size(), 1,
@@ -228,8 +184,9 @@ std::vector<SensingResult> RfPrism::sense_batch_impl(
         }
       });
 
-  // Phase 2: tag-major Stage A over the shared table. solve_position_batch
-  // fans the grid rows out over the pool internally.
+  // Phase 2: tag-major Stage A over the shared table. Every round shares
+  // the deployment geometry, so the cache lookup is one digest+lock per
+  // batch; solve_position_batch fans the grid rows out over the pool.
   std::vector<BatchedRankRequest> requests;
   std::vector<std::size_t> req_of(rounds.size(), 0);
   requests.reserve(rounds.size());
@@ -241,16 +198,28 @@ std::vector<SensingResult> RfPrism::sense_batch_impl(
   }
   std::vector<PositionSolve> solves(requests.size());
   std::vector<std::uint8_t> solved(requests.size(), 0);
+  std::shared_ptr<const GridTable> table;
   if (!requests.empty()) {
+    try {
+      table = engine.geometry_cache().acquire(
+          config_.geometry,
+          GridSpec{dc.grid_nx, dc.grid_ny, std::max<std::size_t>(dc.grid_nz, 1),
+                   dc.z_lo, dc.z_hi});
+    } catch (const Error&) {
+      // A degenerate grid has no table: `solved` stays all-zero, so every
+      // round is a solver failure, exactly as sense() reports it.
+    }
+  }
+  if (table != nullptr) {
     solve_position_batch(config_.geometry, requests, dc,
-                         engine.local_workspace(), &engine.pool(), *table,
-                         solves, solved);
+                         SolveWorkspace::for_this_thread(), &engine.pool(),
+                         *table, solves, solved);
   }
 
   // Phase 3: orientation + features + grading per round on the pool.
   engine.pool().parallel_for(
       rounds.size(), 1,
-      [&](std::size_t begin, std::size_t end, std::size_t slot) {
+      [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t i = begin; i < end; ++i) {
           if (preps[i].rejected) {
             results[i] = std::move(preps[i].result);
@@ -263,7 +232,7 @@ std::vector<SensingResult> RfPrism::sense_batch_impl(
           }
           try {
             results[i] = finish_round(preps[i], tag_of(i), solves[r],
-                                      engine.workspace(slot));
+                                      SolveWorkspace::for_this_thread());
           } catch (const Error&) {
             results[i] = reject(preps[i].result, RejectReason::kSolverFailure);
           }

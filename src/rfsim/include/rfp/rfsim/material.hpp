@@ -32,7 +32,7 @@ struct Material {
   /// similar frequency response — the source of the paper's water/milk
   /// confusion, Fig. 11). When set, the signature is 75% the keyed shape
   /// plus a 25% own component.
-  std::string signature_like;
+  std::string signature_like = {};
 
   /// Extra backscatter power loss [dB] (absorption by the target).
   double attenuation_db = 0.0;

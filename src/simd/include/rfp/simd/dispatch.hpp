@@ -7,24 +7,20 @@
 /// scalar fallback is always available and bit-identical to the vector
 /// path, so dispatch never changes results — only speed.
 ///
-/// Overrides, from widest to narrowest scope:
+/// Overrides:
 ///  - build: -DRFP_DISABLE_SIMD=ON compiles the vector kernels out
 ///    entirely (non-x86 hosts, or pinning the fallback under sanitizers);
 ///  - process: RFP_FORCE_SCALAR (any value other than "", "0", "false",
-///    "off") forces the scalar path; RFP_SIMD_LEVEL=scalar|avx2|avx512
-///    pins a specific level, clamped to what the machine can run;
-///  - call: DisentangleConfig::rank_kernel / the CLI --scalar flag select
-///    the scalar kernels for one solver instance.
+///    "off") forces the scalar path.
 
 namespace rfp::simd {
 
 enum class Level {
   kScalar = 0,  ///< portable fallback, std::fma arithmetic
   kAvx2 = 1,    ///< AVX2 + FMA, 4-8 cells per instruction
-  kAvx512 = 2,  ///< AVX-512F, 8-16 cells per instruction
 };
 
-/// Short stable name for logs/benches: "scalar", "avx2" or "avx512".
+/// Short stable name for logs/benches: "scalar" or "avx2".
 const char* name(Level level);
 
 /// True when the AVX2 kernel translation unit was compiled in (the build
@@ -32,35 +28,18 @@ const char* name(Level level);
 /// the required target flags).
 bool compiled_avx2();
 
-/// True when the AVX-512 kernel translation unit was compiled in.
-bool compiled_avx512();
-
-/// The best level this machine can run, probed once (cpuid: AVX-512F for
-/// kAvx512; AVX2 and FMA for kAvx2). kScalar when nothing vector was
-/// compiled in.
+/// The best level the running CPU supports, probed once (cpuid: AVX2 and FMA
+/// for kAvx2). kScalar when nothing vector was compiled in.
 Level detected();
 
-/// detected(), unless the RFP_FORCE_SCALAR / RFP_SIMD_LEVEL environment
-/// variables demand otherwise. Read once per process, like detected().
+/// detected(), unless the RFP_FORCE_SCALAR environment variable demands
+/// the scalar path. Read once per process, like detected().
 Level active();
 
-/// Pure resolution of the RFP_FORCE_SCALAR value against a detected
-/// level — the env-parsing half of the original active(), kept for tests
-/// and composition. `env` is the raw variable value (nullptr = unset).
-Level level_from_env(Level detected_level, const char* env);
-
-/// Full override resolution, exposed for tests: RFP_FORCE_SCALAR (any
-/// truthy value) wins outright; otherwise RFP_SIMD_LEVEL names a level
-/// ("scalar"/"avx2"/"avx512") which is clamped so it never exceeds
-/// `detected_level`; unset/empty/unrecognized values fall through to
-/// `detected_level`.
-Level resolve_level(Level detected_level, const char* force_scalar_env,
-                    const char* simd_level_env);
-
-/// Per-call override hook: the level a solve should use given its
-/// config's force-scalar choice.
-inline Level choose(bool force_scalar) {
-  return force_scalar ? Level::kScalar : active();
-}
+/// Pure resolution of an RFP_FORCE_SCALAR value against a detected level,
+/// exposed for tests: any truthy value yields kScalar; unset, empty, "0",
+/// "false" and "off" pass `detected_level` through. `force_scalar_env` is
+/// the raw variable value (nullptr = unset).
+Level resolve_level(Level detected_level, const char* force_scalar_env);
 
 }  // namespace rfp::simd

@@ -72,8 +72,7 @@ double factored_rss_cell(const FactoredStats& stats, const double* dist_t,
 
 /// Tag-batched variant: rank the same cells for `n_stats` rounds that
 /// share one distance table, streaming the table once per tag *tile*
-/// (pairs on AVX2; eight-tag tiles, then quads, on AVX-512) instead of
-/// once per tag. Writes
+/// (pairs on AVX2) instead of once per tag. Writes
 /// outs[b][cell - cell_begin] and mins[b] exactly as `n_stats`
 /// independent factored_rss_run calls would — per-cell arithmetic is
 /// per-tag, so every output double is bit-identical to the single-tag
@@ -122,20 +121,6 @@ void factored_rss_run_batch_avx2(const FactoredStats* stats,
                                  std::size_t cell_stride,
                                  std::size_t cell_begin, std::size_t cell_end,
                                  double* const* outs, double* mins);
-/// Defined only when the build compiles the AVX-512 translation unit.
-double factored_rss_run_avx512(const FactoredStats& stats,
-                               const double* dist_t, std::size_t cell_stride,
-                               std::size_t cell_begin, std::size_t cell_end,
-                               double* out);
-std::size_t collect_below_avx512(const double* values, std::size_t n,
-                                 double limit, std::uint32_t* idx,
-                                 std::size_t capacity);
-void factored_rss_run_batch_avx512(const FactoredStats* stats,
-                                   std::size_t n_stats, const double* dist_t,
-                                   std::size_t cell_stride,
-                                   std::size_t cell_begin,
-                                   std::size_t cell_end, double* const* outs,
-                                   double* mins);
 }  // namespace detail
 
 }  // namespace rfp::simd

@@ -73,12 +73,6 @@ double factored_rss_run(Level level, const FactoredStats& stats,
                         const double* dist_t, std::size_t cell_stride,
                         std::size_t cell_begin, std::size_t cell_end,
                         double* out) {
-#if defined(RFP_HAVE_AVX512)
-  if (level == Level::kAvx512) {
-    return detail::factored_rss_run_avx512(stats, dist_t, cell_stride,
-                                           cell_begin, cell_end, out);
-  }
-#endif
 #if defined(RFP_HAVE_AVX2)
   if (level == Level::kAvx2) {
     return detail::factored_rss_run_avx2(stats, dist_t, cell_stride,
@@ -93,11 +87,6 @@ double factored_rss_run(Level level, const FactoredStats& stats,
 std::size_t collect_below(Level level, const double* values, std::size_t n,
                           double limit, std::uint32_t* idx,
                           std::size_t capacity) {
-#if defined(RFP_HAVE_AVX512)
-  if (level == Level::kAvx512) {
-    return detail::collect_below_avx512(values, n, limit, idx, capacity);
-  }
-#endif
 #if defined(RFP_HAVE_AVX2)
   if (level == Level::kAvx2) {
     return detail::collect_below_avx2(values, n, limit, idx, capacity);
@@ -112,13 +101,6 @@ void factored_rss_run_batch(Level level, const FactoredStats* stats,
                             std::size_t cell_stride, std::size_t cell_begin,
                             std::size_t cell_end, double* const* outs,
                             double* mins) {
-#if defined(RFP_HAVE_AVX512)
-  if (level == Level::kAvx512) {
-    detail::factored_rss_run_batch_avx512(stats, n_stats, dist_t, cell_stride,
-                                          cell_begin, cell_end, outs, mins);
-    return;
-  }
-#endif
 #if defined(RFP_HAVE_AVX2)
   if (level == Level::kAvx2) {
     detail::factored_rss_run_batch_avx2(stats, n_stats, dist_t, cell_stride,

@@ -2,10 +2,9 @@
 /// sense_batch over B rounds ranks all tags against one shared cached
 /// distance-table pass (solve_position_batch), and the results must be
 /// byte-identical to sensing each round sequentially — across thread
-/// counts, ranking kernels, faulted corpora spanning full/degraded/
-/// rejected grades, warm-hint mixes, and per-round tag ids. Also covers
-/// the fallbacks (batch_rank off, canonical kernel, singleton batches)
-/// and the hoisted one-acquire-per-batch cache behaviour.
+/// counts, faulted corpora spanning full/degraded/rejected grades,
+/// warm-hint mixes, per-round tag ids, and singleton batches. Also covers
+/// the hoisted one-acquire-per-batch cache behaviour.
 
 #include "rfp/core/pipeline.hpp"
 
@@ -77,15 +76,6 @@ std::vector<RoundTrace> make_corpus(const Testbed& bed, std::size_t n_clean,
   return corpus;
 }
 
-RfPrism make_variant(const Testbed& bed, RankKernel kernel, bool batch_rank,
-                     bool pyramid = false) {
-  RfPrismConfig config = bed.prism().config();
-  config.disentangle.rank_kernel = kernel;
-  config.disentangle.batch_rank = batch_rank;
-  config.disentangle.pyramid.enable = pyramid;
-  return bed.make_pipeline_variant(std::move(config));
-}
-
 /// Exact AntennaLines from the physical model (same helper as the
 /// disentangle tests).
 std::vector<AntennaLine> exact_lines(const DeploymentGeometry& geometry,
@@ -118,89 +108,32 @@ TEST(BatchedSense, MatchesSequentialAcrossThreadsAndKernels) {
   config.n_antennas = 4;
   Testbed bed(config);
   const std::vector<RoundTrace> corpus = make_corpus(bed, 4, 8);
+  const RfPrism& prism = bed.prism();
 
+  // The kernels run at whatever level dispatch picked; the forced-scalar
+  // CI lanes re-run this suite on the scalar kernels.
   bool saw_degraded = false, saw_rejected = false;
-  for (RankKernel kernel :
-       {RankKernel::kFactoredScalar, RankKernel::kFactoredSimd}) {
-    const RfPrism variant = make_variant(bed, kernel, /*batch_rank=*/true);
-    std::vector<SensingResult> reference;
-    for (const RoundTrace& round : corpus) {
-      reference.push_back(variant.sense(round, bed.tag_id()));
-    }
-    for (const SensingResult& r : reference) {
-      saw_degraded |= r.grade == SensingGrade::kDegraded;
-      saw_rejected |= r.grade == SensingGrade::kRejected;
-    }
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      SensingEngine engine(threads);
-      const std::vector<SensingResult> batch =
-          variant.sense_batch(corpus, engine, bed.tag_id());
-      ASSERT_EQ(batch.size(), reference.size());
-      for (std::size_t k = 0; k < batch.size(); ++k) {
-        expect_identical(batch[k], reference[k],
-                         "kernel=" + std::to_string(static_cast<int>(kernel)) +
-                             " threads=" + std::to_string(threads) +
-                             " round " + std::to_string(k));
-      }
-    }
-  }
-  EXPECT_TRUE(saw_degraded) << "corpus never hit the degraded path; weak test";
-  EXPECT_TRUE(saw_rejected) << "corpus never hit the rejected path; weak test";
-}
-
-TEST(BatchedSense, PyramidBatchMatchesSequentialPyramid) {
-  TestbedConfig config;
-  config.n_antennas = 4;
-  Testbed bed(config);
-  const std::vector<RoundTrace> corpus = make_corpus(bed, 3, 5, 0xF1E);
-  const RfPrism variant = make_variant(bed, RankKernel::kFactoredSimd,
-                                       /*batch_rank=*/true, /*pyramid=*/true);
   std::vector<SensingResult> reference;
   for (const RoundTrace& round : corpus) {
-    reference.push_back(variant.sense(round, bed.tag_id()));
+    reference.push_back(prism.sense(round, bed.tag_id()));
   }
-  for (std::size_t threads : {1u, 8u}) {
+  for (const SensingResult& r : reference) {
+    saw_degraded |= r.grade == SensingGrade::kDegraded;
+    saw_rejected |= r.grade == SensingGrade::kRejected;
+  }
+  for (std::size_t threads : {1u, 2u, 8u}) {
     SensingEngine engine(threads);
     const std::vector<SensingResult> batch =
-        variant.sense_batch(corpus, engine, bed.tag_id());
+        prism.sense_batch(corpus, engine, bed.tag_id());
+    ASSERT_EQ(batch.size(), reference.size());
     for (std::size_t k = 0; k < batch.size(); ++k) {
       expect_identical(batch[k], reference[k],
                        "threads=" + std::to_string(threads) + " round " +
                            std::to_string(k));
     }
   }
-}
-
-TEST(BatchedSense, BatchRankOffMatchesBatchRankOn) {
-  // The flag only changes the execution schedule, never the doubles.
-  TestbedConfig config;
-  config.n_antennas = 4;
-  Testbed bed(config);
-  const std::vector<RoundTrace> corpus = make_corpus(bed, 3, 5, 0x0FF);
-  const RfPrism on = make_variant(bed, RankKernel::kFactoredSimd, true);
-  const RfPrism off = make_variant(bed, RankKernel::kFactoredSimd, false);
-  SensingEngine engine(4);
-  const auto a = on.sense_batch(corpus, engine, bed.tag_id());
-  const auto b = off.sense_batch(corpus, engine, bed.tag_id());
-  for (std::size_t k = 0; k < corpus.size(); ++k) {
-    expect_identical(a[k], b[k], "round " + std::to_string(k));
-  }
-}
-
-TEST(BatchedSense, CanonicalKernelFallsBackPerRound) {
-  // kCanonical has no tag-major form; sense_batch must quietly take the
-  // per-round path and still match sequential sensing.
-  TestbedConfig config;
-  config.n_antennas = 4;
-  Testbed bed(config);
-  const std::vector<RoundTrace> corpus = make_corpus(bed, 2, 3, 0xCA0);
-  const RfPrism canonical = make_variant(bed, RankKernel::kCanonical, true);
-  SensingEngine engine(2);
-  const auto batch = canonical.sense_batch(corpus, engine, bed.tag_id());
-  for (std::size_t k = 0; k < corpus.size(); ++k) {
-    expect_identical(batch[k], canonical.sense(corpus[k], bed.tag_id()),
-                     "round " + std::to_string(k));
-  }
+  EXPECT_TRUE(saw_degraded) << "corpus never hit the degraded path; weak test";
+  EXPECT_TRUE(saw_rejected) << "corpus never hit the rejected path; weak test";
 }
 
 TEST(BatchedSense, SingletonBatchMatchesSingleSense) {
@@ -208,12 +141,36 @@ TEST(BatchedSense, SingletonBatchMatchesSingleSense) {
   config.n_antennas = 4;
   Testbed bed(config);
   const std::vector<RoundTrace> corpus = make_corpus(bed, 1, 0, 0x001);
-  const RfPrism variant = make_variant(bed, RankKernel::kFactoredSimd, true);
+  const RfPrism& prism = bed.prism();
   SensingEngine engine(2);
-  const auto batch = variant.sense_batch(corpus, engine, bed.tag_id());
+  const auto batch = prism.sense_batch(corpus, engine, bed.tag_id());
   ASSERT_EQ(batch.size(), 1u);
-  expect_identical(batch[0], variant.sense(corpus[0], bed.tag_id()),
+  expect_identical(batch[0], prism.sense(corpus[0], bed.tag_id()),
                    "singleton");
+}
+
+TEST(BatchedSense, DegenerateGridFailsEveryRoundLikeSense) {
+  // A 1-wide grid has no distance table: sense() reports a per-round
+  // solver failure, and sense_batch must do the same instead of throwing.
+  TestbedConfig config;
+  config.n_antennas = 4;
+  Testbed bed(config);
+  const std::vector<RoundTrace> corpus = make_corpus(bed, 2, 2, 0xDE6);
+  RfPrismConfig degenerate = bed.prism().config();
+  degenerate.disentangle.grid_nx = 1;
+  const RfPrism prism = bed.make_pipeline_variant(std::move(degenerate));
+  for (std::size_t threads : {1u, 4u}) {
+    SensingEngine engine(threads);
+    const auto batch = prism.sense_batch(corpus, engine, bed.tag_id());
+    ASSERT_EQ(batch.size(), corpus.size());
+    for (std::size_t k = 0; k < corpus.size(); ++k) {
+      const SensingResult single = prism.sense(corpus[k], bed.tag_id());
+      EXPECT_FALSE(single.valid);
+      expect_identical(batch[k], single,
+                       "threads=" + std::to_string(threads) + " round " +
+                           std::to_string(k));
+    }
+  }
 }
 
 TEST(BatchedSense, WarmHintMixMatchesPerRoundWarmSense) {
@@ -223,12 +180,12 @@ TEST(BatchedSense, WarmHintMixMatchesPerRoundWarmSense) {
   config.n_antennas = 4;
   Testbed bed(config);
   const std::vector<RoundTrace> corpus = make_corpus(bed, 5, 3, 0x3A3);
-  const RfPrism variant = make_variant(bed, RankKernel::kFactoredSimd, true);
+  const RfPrism& prism = bed.prism();
 
   // First pass: learn positions to hint with.
   std::vector<SensingResult> cold;
   for (const RoundTrace& round : corpus) {
-    cold.push_back(variant.sense(round, bed.tag_id()));
+    cold.push_back(prism.sense(round, bed.tag_id()));
   }
   std::vector<std::optional<Vec3>> hints(corpus.size());
   for (std::size_t k = 0; k < corpus.size(); ++k) {
@@ -244,15 +201,15 @@ TEST(BatchedSense, WarmHintMixMatchesPerRoundWarmSense) {
   for (std::size_t k = 0; k < corpus.size(); ++k) {
     if (hints[k].has_value()) {
       reference.push_back(
-          variant.sense_warm(corpus[k], bed.tag_id(), *hints[k]));
+          prism.sense_warm(corpus[k], bed.tag_id(), *hints[k]));
     } else {
-      reference.push_back(variant.sense(corpus[k], bed.tag_id()));
+      reference.push_back(prism.sense(corpus[k], bed.tag_id()));
     }
   }
   for (std::size_t threads : {1u, 4u}) {
     SensingEngine engine(threads);
     const auto batch =
-        variant.sense_batch(corpus, tag_ids, engine, nullptr, hints);
+        prism.sense_batch(corpus, tag_ids, engine, nullptr, hints);
     for (std::size_t k = 0; k < corpus.size(); ++k) {
       expect_identical(batch[k], reference[k],
                        "threads=" + std::to_string(threads) + " round " +
@@ -266,7 +223,7 @@ TEST(BatchedSense, PerRoundTagIdsApplyCalibrationsIndividually) {
   config.n_antennas = 4;
   Testbed bed(config);
   const std::vector<RoundTrace> corpus = make_corpus(bed, 4, 0, 0x7A6);
-  const RfPrism variant = make_variant(bed, RankKernel::kFactoredSimd, true);
+  const RfPrism& prism = bed.prism();
   // Alternate calibrated / uncalibrated ids: kt/bt/material compensation
   // differs between them, so cross-tag mixups would show.
   std::vector<std::string> tag_ids;
@@ -274,9 +231,9 @@ TEST(BatchedSense, PerRoundTagIdsApplyCalibrationsIndividually) {
     tag_ids.push_back(k % 2 == 0 ? bed.tag_id() : "uncalibrated-tag");
   }
   SensingEngine engine(2);
-  const auto batch = variant.sense_batch(corpus, tag_ids, engine);
+  const auto batch = prism.sense_batch(corpus, tag_ids, engine);
   for (std::size_t k = 0; k < corpus.size(); ++k) {
-    expect_identical(batch[k], variant.sense(corpus[k], tag_ids[k]),
+    expect_identical(batch[k], prism.sense(corpus[k], tag_ids[k]),
                      "round " + std::to_string(k));
   }
 }
@@ -288,13 +245,13 @@ TEST(BatchedSense, BatchAcquiresTableOnce) {
   config.n_antennas = 4;
   Testbed bed(config);
   const std::vector<RoundTrace> corpus = make_corpus(bed, 6, 0, 0x0CE);
-  const RfPrism variant = make_variant(bed, RankKernel::kFactoredSimd, true);
+  const RfPrism& prism = bed.prism();
   SensingEngine engine(2);
-  (void)variant.sense_batch(corpus, engine, bed.tag_id());
+  (void)prism.sense_batch(corpus, engine, bed.tag_id());
   const GridGeometryCache::Stats after = engine.geometry_cache().stats();
   EXPECT_EQ(after.hits + after.misses, 1u)
       << "batched path must acquire the shared table exactly once";
-  (void)variant.sense_batch(corpus, engine, bed.tag_id());
+  (void)prism.sense_batch(corpus, engine, bed.tag_id());
   const GridGeometryCache::Stats again = engine.geometry_cache().stats();
   EXPECT_EQ(again.hits + again.misses, 2u);
   EXPECT_EQ(again.builds, 1u);
@@ -308,7 +265,6 @@ TEST(BatchedSolve, SolvePositionBatchMatchesPerTag) {
   const Scene scene = make_scene_2d(77);
   const DeploymentGeometry geometry = exact_geometry(scene);
   DisentangleConfig config;
-  config.rank_kernel = RankKernel::kFactoredSimd;
   SolveWorkspace ws;
   GridGeometryCache cache;
   const std::size_t nz = config.grid_nz > 1 ? config.grid_nz : 1;
@@ -369,7 +325,7 @@ TEST(BatchedSolve, TooFewLinesMarksUnsolvedInsteadOfThrowing) {
   solve_position_batch(geometry, requests, config, ws, nullptr, *table, out,
                        solved);
   EXPECT_EQ(solved[0], 1);
-  EXPECT_EQ(solved[1], 0);  // per-tag solve_position would have thrown
+  EXPECT_EQ(solved[1], 0);  // solve_position throws on this round alone
   EXPECT_EQ(solved[2], 1);
   EXPECT_EQ(out[0].position.x, out[2].position.x);
   EXPECT_EQ(out[0].rms, out[2].rms);
@@ -394,18 +350,21 @@ TEST(BatchedSolve, RankExhaustiveBatchMatchesPerTagRank) {
                                     planar_polarization(rng.uniform(0.0, kPi)),
                                     1e-9, 0.5));
   }
-  for (RankKernel kernel :
-       {RankKernel::kFactoredScalar, RankKernel::kFactoredSimd}) {
-    SCOPED_TRACE(static_cast<int>(kernel));
+  std::vector<simd::Level> levels{simd::Level::kScalar};
+  if (simd::detected() == simd::Level::kAvx2) {
+    levels.push_back(simd::Level::kAvx2);
+  }
+  for (simd::Level level : levels) {
+    SCOPED_TRACE(simd::name(level));
     std::vector<BatchedRankRequest> requests;
     for (const auto& lines : all_lines) {
       requests.push_back(BatchedRankRequest{lines, nullptr});
     }
     std::vector<StageARank> out(requests.size());
-    rank_exhaustive_batch(geometry, requests, *table, kernel, ws, out);
+    rank_exhaustive_batch(geometry, requests, *table, ws, out, level);
     for (std::size_t b = 0; b < requests.size(); ++b) {
       const StageARank single =
-          rank_exhaustive(geometry, all_lines[b], *table, kernel, ws);
+          rank_exhaustive(geometry, all_lines[b], *table, ws, level);
       // The winner is margin-exact; candidate counts may differ (the
       // batch re-scores pass-local supersets) but never shrink.
       EXPECT_EQ(out[b].cell, single.cell) << "tag " << b;

@@ -88,17 +88,17 @@ TEST(DeploymentRegistry, GraftKeepsServerSolverSettings) {
   const Testbed& b = bed_for_seed(7);
 
   RfPrismConfig base = a.prism().config();
-  base.disentangle.rank_kernel = RankKernel::kFactoredScalar;
-  base.disentangle.pyramid.enable = true;
-  const RfPrism scalar_prism = a.make_pipeline_variant(std::move(base));
+  base.disentangle.orientation_scan_steps = 360;
+  base.disentangle.warm_start.enable = false;
+  const RfPrism variant_prism = a.make_pipeline_variant(std::move(base));
 
   DeploymentRegistry registry(8);
-  registry.set_default(scalar_prism);
+  registry.set_default(variant_prism);
   const auto tenant = registry.acquire(b.prism().config().geometry,
                                        b.prism().calibrations());
-  EXPECT_EQ(tenant->prism().config().disentangle.rank_kernel,
-            RankKernel::kFactoredScalar);
-  EXPECT_TRUE(tenant->prism().config().disentangle.pyramid.enable);
+  EXPECT_EQ(tenant->prism().config().disentangle.orientation_scan_steps,
+            360u);
+  EXPECT_FALSE(tenant->prism().config().disentangle.warm_start.enable);
   EXPECT_EQ(tenant->prism().config().geometry.n_antennas(),
             b.prism().config().geometry.n_antennas());
   EXPECT_EQ(tenant->prism().calibrations().n_tags(),

@@ -7,7 +7,10 @@
 #include "rfp/core/engine.hpp"
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,8 +18,10 @@
 #include "rfp/common/constants.hpp"
 #include "rfp/common/error.hpp"
 #include "rfp/common/rng.hpp"
+#include "rfp/common/workspace.hpp"
 #include "rfp/core/streaming.hpp"
 #include "rfp/exp/testbed.hpp"
+#include "rfp/net/wire.hpp"
 #include "rfp/rfsim/faults.hpp"
 
 namespace rfp {
@@ -85,13 +90,72 @@ TEST(SensingEngine, ResolvesAtLeastOneThread) {
 }
 
 TEST(SensingEngine, WorkspacePerThreadPlusCaller) {
+  // Every thread that runs solve work — each pool worker, and the caller
+  // when a single chunk runs inline on it (slot n_threads()) — uses its
+  // own SolveWorkspace::for_this_thread().
   SensingEngine engine(3);
-  // Valid slots: one per worker plus the calling thread's.
-  for (std::size_t slot = 0; slot <= engine.n_threads(); ++slot) {
-    engine.workspace(slot).vec(0, 4);
+  std::vector<const SolveWorkspace*> seen(engine.n_threads() + 1, nullptr);
+  const auto record = [&](std::size_t, std::size_t, std::size_t slot) {
+    SolveWorkspace& ws = SolveWorkspace::for_this_thread();
+    ws.vec(0, 4);
+    seen[slot] = &ws;
+  };
+  engine.pool().parallel_for(64, 1, record);
+  engine.pool().parallel_for(1, 1, record);  // one chunk: inline on caller
+  const SolveWorkspace* caller = &SolveWorkspace::for_this_thread();
+  EXPECT_EQ(seen[engine.n_threads()], caller);
+  for (std::size_t a = 0; a < seen.size(); ++a) {
+    if (seen[a] == nullptr) continue;
+    for (std::size_t b = a + 1; b < seen.size(); ++b) {
+      if (seen[b] != nullptr) {
+        EXPECT_NE(seen[a], seen[b]);
+      }
+    }
   }
-  EXPECT_EQ(&engine.local_workspace(),
-            &engine.workspace(engine.n_threads()));
+  // Another caller outside the pool gets a workspace of its own.
+  const SolveWorkspace* other = nullptr;
+  std::thread([&] { other = &SolveWorkspace::for_this_thread(); }).join();
+  EXPECT_NE(other, caller);
+}
+
+TEST(SensingEngine, ConcurrentCallersDoNotShareScratch) {
+  // Two threads outside the pool (say, two reactors polling streaming
+  // sessions) call sense_batch on one engine at once, with singleton and
+  // 8-round batches. Each caller must get its own scratch: every result
+  // equals sequential sense() byte for byte (and TSan sees no race).
+  TestbedConfig config;
+  config.n_antennas = 4;
+  Testbed bed(config);
+  const std::vector<RoundTrace> corpus = make_corpus(bed, 4, 4);
+  std::vector<std::vector<std::uint8_t>> expected;
+  for (const RoundTrace& round : corpus) {
+    expected.push_back(
+        net::encode_sense_response(bed.prism().sense(round, bed.tag_id())));
+  }
+
+  SensingEngine engine(2);
+  constexpr int kIterations = 200;
+  std::vector<std::string> failures(2);
+  const auto caller = [&](std::size_t id, std::size_t batch_size) {
+    const std::span<const RoundTrace> rounds(corpus.data(), batch_size);
+    for (int it = 0; it < kIterations && failures[id].empty(); ++it) {
+      const std::vector<SensingResult> results =
+          bed.prism().sense_batch(rounds, engine, bed.tag_id());
+      for (std::size_t k = 0; k < results.size(); ++k) {
+        if (net::encode_sense_response(results[k]) != expected[k]) {
+          failures[id] = "iteration " + std::to_string(it) + " round " +
+                         std::to_string(k) + " differs from sense()";
+          break;
+        }
+      }
+    }
+  };
+  std::thread single(caller, 0, 1);
+  std::thread batch(caller, 1, corpus.size());
+  single.join();
+  batch.join();
+  EXPECT_EQ(failures[0], "") << "1-round caller";
+  EXPECT_EQ(failures[1], "") << "8-round caller";
 }
 
 TEST(SensingEngine, EngineSenseMatchesSequentialSense) {

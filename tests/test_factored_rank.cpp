@@ -1,10 +1,10 @@
-/// Randomized equivalence of the factored ranking kernels with the
-/// canonical cached scan (ctest label: simd). The margin-exact two-pass
-/// contract (DESIGN.md "Vectorized kernels") promises the *same winning
-/// cell* with *bit-identical* canonical cost for every RankKernel — this
-/// suite hammers that over thousands of random rounds: random geometries,
-/// degraded antenna subsets, duplicated antennas (multi-line rounds),
-/// slope outliers, and NaN-poisoned lines.
+/// Randomized equivalence of the production Stage-A ranking with the
+/// canonical scan (ctest label: simd). The margin-exact two-pass contract
+/// (DESIGN.md "Vectorized kernels") promises the *same winning cell* with
+/// *bit-identical* canonical cost as rank_canonical, at every dispatch
+/// level and every batch size — this suite hammers that over thousands of
+/// random rounds: random geometries, degraded antenna subsets, duplicated
+/// antennas (multi-line rounds), slope outliers, and NaN-poisoned lines.
 
 #include "rfp/core/disentangle.hpp"
 
@@ -20,9 +20,12 @@
 #include "rfp/common/rng.hpp"
 #include "rfp/common/workspace.hpp"
 #include "rfp/core/grid_cache.hpp"
+#include "rfp/simd/dispatch.hpp"
 
 namespace rfp {
 namespace {
+
+using simd::Level;
 
 DeploymentGeometry random_geometry(Rng& rng, std::size_t n_antennas) {
   DeploymentGeometry g;
@@ -107,15 +110,22 @@ std::vector<Deployment> make_deployments(GridGeometryCache& cache) {
   return out;
 }
 
-void expect_same_rank(const StageARank& canonical, const StageARank& factored,
+/// Every dispatch level this host/build can execute.
+std::vector<Level> runnable_levels() {
+  std::vector<Level> levels{Level::kScalar};
+  if (simd::detected() == Level::kAvx2) levels.push_back(Level::kAvx2);
+  return levels;
+}
+
+void expect_same_rank(const StageARank& canonical, const StageARank& ranked,
                       std::size_t n_cells, const std::string& where) {
   SCOPED_TRACE(where);
-  EXPECT_EQ(canonical.cell, factored.cell);
-  EXPECT_EQ(canonical.rss, factored.rss);  // bitwise: same canonical re-eval
-  EXPECT_EQ(canonical.kt, factored.kt);
+  EXPECT_EQ(canonical.cell, ranked.cell);
+  EXPECT_EQ(canonical.rss, ranked.rss);  // bitwise: same canonical re-eval
+  EXPECT_EQ(canonical.kt, ranked.kt);
   EXPECT_EQ(canonical.candidates, n_cells);
-  EXPECT_GE(factored.candidates, 1u);
-  EXPECT_LE(factored.candidates, n_cells);
+  EXPECT_GE(ranked.candidates, 1u);
+  EXPECT_LE(ranked.candidates, n_cells);
 }
 
 TEST(FactoredRank, MatchesCanonicalOverRandomRounds) {
@@ -128,31 +138,62 @@ TEST(FactoredRank, MatchesCanonicalOverRandomRounds) {
   knobs.drop_prob = 0.25;
   knobs.duplicate_prob = 0.2;
   knobs.outlier_prob = 0.1;
+  knobs.nan_prob = 0.01;
   knobs.unusable_prob = 0.1;
 
-  constexpr std::size_t kRounds = 10000;
+  // Batch sizes and deployments cycle independently, so every size meets
+  // every antenna count. Rounds of one batch share the deployment but drop
+  // and duplicate different antennas, so their line counts differ.
+  const std::size_t batch_sizes[] = {1, 2, 7, 16};
+  constexpr std::size_t kBatches = 1200;
   std::size_t ranked = 0;
+  std::size_t poisoned = 0;
   std::size_t max_candidates = 0;
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    const Deployment& dep = deployments[round % deployments.size()];
-    const auto lines = random_lines(rng, dep.geometry, knobs);
-    if (usable_count(lines) < 3) continue;  // solver precondition
-    const StageARank canonical = rank_exhaustive(
-        dep.geometry, lines, *dep.table, RankKernel::kCanonical, ws);
-    const StageARank scalar = rank_exhaustive(
-        dep.geometry, lines, *dep.table, RankKernel::kFactoredScalar, ws);
-    const StageARank simd = rank_exhaustive(
-        dep.geometry, lines, *dep.table, RankKernel::kFactoredSimd, ws);
-    const std::string where = "round " + std::to_string(round);
-    expect_same_rank(canonical, scalar, dep.table->n_cells(),
-                     where + " scalar");
-    expect_same_rank(canonical, simd, dep.table->n_cells(), where + " simd");
-    max_candidates = std::max(max_candidates,
-                              std::max(scalar.candidates, simd.candidates));
-    ++ranked;
-    if (HasFailure()) break;  // one detailed round beats 10k cascades
+  for (std::size_t batch = 0; batch < kBatches && !HasFailure(); ++batch) {
+    const Deployment& dep = deployments[batch % deployments.size()];
+    const std::size_t size = batch_sizes[batch % std::size(batch_sizes)];
+    const std::string where = "batch " + std::to_string(batch);
+
+    std::vector<std::vector<AntennaLine>> rounds;
+    while (rounds.size() < size) {
+      std::vector<AntennaLine> lines = random_lines(rng, dep.geometry, knobs);
+      if (usable_count(lines) < 3) continue;  // solver precondition
+      if (any_usable_nan(lines)) {
+        // A NaN slope poisons every cell's cost: both rankings must refuse
+        // the round rather than pick an arbitrary winner.
+        EXPECT_THROW(rank_canonical(dep.geometry, lines, *dep.table, ws),
+                     InvalidArgument)
+            << where;
+        EXPECT_THROW(rank_exhaustive(dep.geometry, lines, *dep.table, ws),
+                     InvalidArgument)
+            << where;
+        ++poisoned;
+        continue;
+      }
+      rounds.push_back(std::move(lines));
+    }
+
+    std::vector<StageARank> canonical;
+    std::vector<BatchedRankRequest> requests;
+    for (const auto& lines : rounds) {
+      canonical.push_back(rank_canonical(dep.geometry, lines, *dep.table, ws));
+      requests.push_back(BatchedRankRequest{lines, nullptr});
+    }
+    for (Level level : runnable_levels()) {
+      std::vector<StageARank> out(size);
+      rank_exhaustive_batch(dep.geometry, requests, *dep.table, ws, out,
+                            level);
+      for (std::size_t b = 0; b < size; ++b) {
+        expect_same_rank(canonical[b], out[b], dep.table->n_cells(),
+                         where + " tag " + std::to_string(b) + " " +
+                             simd::name(level));
+        max_candidates = std::max(max_candidates, out[b].candidates);
+      }
+    }
+    ranked += size;
   }
-  EXPECT_GE(ranked, kRounds / 2);
+  EXPECT_GE(ranked, kBatches * 6);
+  EXPECT_GT(poisoned, 0u) << "corpus never drew a NaN-poisoned round";
   // The margin is conservative but must stay *selective*: re-scoring
   // nearly the whole grid would silently erase the speedup.
   EXPECT_LE(max_candidates, 64u);
@@ -177,17 +218,19 @@ TEST(FactoredRank, SingleAntennaRoundsStillAgree) {
     line.n_channels = kNumChannels;
     lines.push_back(line);
   }
-  const StageARank canonical =
-      rank_exhaustive(geometry, lines, *table, RankKernel::kCanonical, ws);
-  const StageARank simd =
-      rank_exhaustive(geometry, lines, *table, RankKernel::kFactoredSimd, ws);
-  expect_same_rank(canonical, simd, table->n_cells(), "single antenna");
+  const StageARank canonical = rank_canonical(geometry, lines, *table, ws);
+  for (Level level : runnable_levels()) {
+    expect_same_rank(canonical,
+                     rank_exhaustive(geometry, lines, *table, ws, level),
+                     table->n_cells(),
+                     std::string("single antenna ") + simd::name(level));
+  }
 }
 
 TEST(FactoredRank, NaNPoisonedRoundsThrowForEveryKernel) {
   // A NaN slope poisons every cell's cost in the canonical scan; the
-  // factored kernels must reach the same no-finite-cell conclusion, not
-  // pick an arbitrary winner.
+  // production ranking must reach the same no-finite-cell conclusion at
+  // every level, alone or batched with clean rounds.
   GridGeometryCache cache;
   SolveWorkspace ws;
   Rng rng(mix_seed(23, 0xBAD));
@@ -198,12 +241,19 @@ TEST(FactoredRank, NaNPoisonedRoundsThrowForEveryKernel) {
   const auto lines = random_lines(rng, geometry, knobs);
   ASSERT_GE(usable_count(lines), 3u);
   ASSERT_TRUE(any_usable_nan(lines));
-  for (RankKernel kernel :
-       {RankKernel::kCanonical, RankKernel::kFactoredScalar,
-        RankKernel::kFactoredSimd}) {
-    EXPECT_THROW(rank_exhaustive(geometry, lines, *table, kernel, ws),
-                 InvalidArgument)
-        << "kernel " << static_cast<int>(kernel);
+  const auto clean = random_lines(rng, geometry, CorpusKnobs{});
+
+  EXPECT_THROW(rank_canonical(geometry, lines, *table, ws), InvalidArgument);
+  for (Level level : runnable_levels()) {
+    SCOPED_TRACE(simd::name(level));
+    EXPECT_THROW(rank_exhaustive(geometry, lines, *table, ws, level),
+                 InvalidArgument);
+    const std::vector<BatchedRankRequest> requests{
+        {clean, nullptr}, {lines, nullptr}, {clean, nullptr}};
+    std::vector<StageARank> out(requests.size());
+    EXPECT_THROW(
+        rank_exhaustive_batch(geometry, requests, *table, ws, out, level),
+        InvalidArgument);
   }
 }
 
@@ -217,14 +267,14 @@ TEST(FactoredRank, RejectsTooFewLinesAndMismatchedTable) {
   CorpusKnobs clean;
   const auto lines = random_lines(rng, geometry, clean);
   const std::vector<AntennaLine> two(lines.begin(), lines.begin() + 2);
-  EXPECT_THROW(rank_exhaustive(geometry, two, *table,
-                               RankKernel::kFactoredSimd, ws),
-               InvalidArgument);
+  EXPECT_THROW(rank_exhaustive(geometry, two, *table, ws), InvalidArgument);
+  EXPECT_THROW(rank_canonical(geometry, two, *table, ws), InvalidArgument);
 
   const DeploymentGeometry other = random_geometry(rng, 6);
   const auto other_table = cache.acquire(other, GridSpec{21, 21, 1, 0.0, 0.0});
-  EXPECT_THROW(rank_exhaustive(geometry, lines, *other_table,
-                               RankKernel::kFactoredSimd, ws),
+  EXPECT_THROW(rank_exhaustive(geometry, lines, *other_table, ws),
+               InvalidArgument);
+  EXPECT_THROW(rank_canonical(geometry, lines, *other_table, ws),
                InvalidArgument);
 }
 

@@ -133,13 +133,15 @@ void require_grade_spread(const RfPrism& prism,
 
 /// The core isolation check: three tenants (default A, sessions B and C)
 /// hammered concurrently, every response compared byte-for-byte against
-/// its single-tenant baseline.
+/// its single-tenant baseline. `server_variant` gives the server a
+/// non-default solver setting (a coarser orientation scan) that the
+/// grafted session tenants must inherit.
 void run_isolation_sweep(std::size_t engine_threads, std::size_t reactors,
-                         bool scalar_kernel) {
+                         bool server_variant) {
   const Testbed& bed_a = default_bed();
   RfPrismConfig server_config_prism = bed_a.prism().config();
-  if (scalar_kernel) {
-    server_config_prism.disentangle.rank_kernel = RankKernel::kFactoredScalar;
+  if (server_variant) {
+    server_config_prism.disentangle.orientation_scan_steps = 360;
   }
   const RfPrism server_prism =
       bed_a.make_pipeline_variant(std::move(server_config_prism));
@@ -233,22 +235,22 @@ void run_isolation_sweep(std::size_t engine_threads, std::size_t reactors,
 
 TEST(MultiTenant, ConcurrentTenantsAreByteIdenticalSingleThread) {
   run_isolation_sweep(/*engine_threads=*/1, /*reactors=*/1,
-                      /*scalar_kernel=*/false);
+                      /*server_variant=*/false);
 }
 
 TEST(MultiTenant, ConcurrentTenantsAreByteIdenticalTwoThreadsTwoReactors) {
   run_isolation_sweep(/*engine_threads=*/2, /*reactors=*/2,
-                      /*scalar_kernel=*/false);
+                      /*server_variant=*/false);
 }
 
 TEST(MultiTenant, ConcurrentTenantsAreByteIdenticalEightThreads) {
   run_isolation_sweep(/*engine_threads=*/8, /*reactors=*/2,
-                      /*scalar_kernel=*/false);
+                      /*server_variant=*/false);
 }
 
 TEST(MultiTenant, ConcurrentTenantsAreByteIdenticalScalarKernel) {
   run_isolation_sweep(/*engine_threads=*/2, /*reactors=*/1,
-                      /*scalar_kernel=*/true);
+                      /*server_variant=*/true);
 }
 
 TEST(MultiTenant, FaultedCorpusSpansGrades) {

@@ -1,7 +1,6 @@
 /// rfp::simd contract tests (ctest label: simd — the sanitizer jobs run
 /// these suites with RFP_FORCE_SCALAR both unset and set):
-///  - dispatch resolution (cpuid level, RFP_FORCE_SCALAR parsing, the
-///    per-call force-scalar hook);
+///  - dispatch resolution (cpuid level, RFP_FORCE_SCALAR parsing);
 ///  - bit-identity of the scalar and AVX2 kernels over unaligned starts,
 ///    ragged tails, and padded strides — the property the ranking layer's
 ///    determinism contract stands on;
@@ -76,15 +75,11 @@ AlignedVector<double> random_planes(Rng& rng, std::size_t n_antennas,
 std::size_t padded_stride(std::size_t n_cells) { return (n_cells + 7) / 8 * 8; }
 
 bool avx2_runnable() { return compiled_avx2() && detected() >= Level::kAvx2; }
-bool avx512_runnable() {
-  return compiled_avx512() && detected() == Level::kAvx512;
-}
 
 /// Every level this host/build can actually execute.
 std::vector<Level> runnable_levels() {
   std::vector<Level> levels{Level::kScalar};
   if (avx2_runnable()) levels.push_back(Level::kAvx2);
-  if (avx512_runnable()) levels.push_back(Level::kAvx512);
   return levels;
 }
 
@@ -95,17 +90,12 @@ std::vector<Level> runnable_levels() {
 TEST(SimdDispatch, NamesAreStable) {
   EXPECT_STREQ(name(Level::kScalar), "scalar");
   EXPECT_STREQ(name(Level::kAvx2), "avx2");
-  EXPECT_STREQ(name(Level::kAvx512), "avx512");
 }
 
 TEST(SimdDispatch, DetectedNeverExceedsCompiledSupport) {
   if (!compiled_avx2()) {
     EXPECT_EQ(detected(), Level::kScalar)
         << "build has no AVX2 translation unit, nothing else may be detected";
-  }
-  if (!compiled_avx512()) {
-    EXPECT_NE(detected(), Level::kAvx512)
-        << "build has no AVX-512 translation unit";
   }
   // active() can only ever narrow detected(), never widen it.
   EXPECT_TRUE(active() <= detected());
@@ -115,59 +105,29 @@ TEST(SimdDispatch, LevelFromEnvParsesOverride) {
   // Unset / explicit "no" spellings pass the detected level through.
   for (const char* off : {static_cast<const char*>(nullptr), "", "0", "false",
                           "off"}) {
-    EXPECT_EQ(level_from_env(Level::kAvx2, off), Level::kAvx2)
+    EXPECT_EQ(resolve_level(Level::kAvx2, off), Level::kAvx2)
         << "value: " << (off ? off : "<unset>");
-    EXPECT_EQ(level_from_env(Level::kScalar, off), Level::kScalar);
+    EXPECT_EQ(resolve_level(Level::kScalar, off), Level::kScalar);
   }
   // Anything else demands the scalar path.
   for (const char* on : {"1", "true", "yes", "scalar", "anything"}) {
-    EXPECT_EQ(level_from_env(Level::kAvx2, on), Level::kScalar)
+    EXPECT_EQ(resolve_level(Level::kAvx2, on), Level::kScalar)
         << "value: " << on;
   }
   // Forcing scalar on a scalar-only machine is a no-op, not an error.
-  EXPECT_EQ(level_from_env(Level::kScalar, "1"), Level::kScalar);
+  EXPECT_EQ(resolve_level(Level::kScalar, "1"), Level::kScalar);
 }
 
 TEST(SimdDispatch, ActiveHonorsForceScalarEnvironment) {
   // active() is pinned at first use; it must equal re-resolving the
-  // current environment (the variables cannot have changed under a test
+  // current environment (the variable cannot have changed under a test
   // runner). With RFP_FORCE_SCALAR=1 in the environment — the CI
-  // forced-scalar lanes — this asserts the scalar path actually engaged,
-  // and with RFP_SIMD_LEVEL pinned the named level (clamped) engaged.
+  // forced-scalar lanes — this asserts the scalar path actually engaged.
   const char* force = std::getenv("RFP_FORCE_SCALAR");
-  const char* pin = std::getenv("RFP_SIMD_LEVEL");
-  EXPECT_EQ(active(), resolve_level(detected(), force, pin));
+  EXPECT_EQ(active(), resolve_level(detected(), force));
   if (force != nullptr && std::string(force) == "1") {
     EXPECT_EQ(active(), Level::kScalar);
   }
-}
-
-TEST(SimdDispatch, ResolveLevelParsesSimdLevelOverride) {
-  // Exact level names pin the level...
-  EXPECT_EQ(resolve_level(Level::kAvx512, nullptr, "scalar"), Level::kScalar);
-  EXPECT_EQ(resolve_level(Level::kAvx512, nullptr, "avx2"), Level::kAvx2);
-  EXPECT_EQ(resolve_level(Level::kAvx512, nullptr, "avx512"), Level::kAvx512);
-  // ...but never above what the machine can run (clamped, not an error).
-  EXPECT_EQ(resolve_level(Level::kAvx2, nullptr, "avx512"), Level::kAvx2);
-  EXPECT_EQ(resolve_level(Level::kScalar, nullptr, "avx512"), Level::kScalar);
-  EXPECT_EQ(resolve_level(Level::kScalar, nullptr, "avx2"), Level::kScalar);
-  // Unset / empty / unrecognized fall through to the detected level.
-  EXPECT_EQ(resolve_level(Level::kAvx512, nullptr, nullptr), Level::kAvx512);
-  EXPECT_EQ(resolve_level(Level::kAvx512, nullptr, ""), Level::kAvx512);
-  EXPECT_EQ(resolve_level(Level::kAvx2, nullptr, "AVX2"), Level::kAvx2);
-  EXPECT_EQ(resolve_level(Level::kAvx2, nullptr, "sse"), Level::kAvx2);
-  // RFP_FORCE_SCALAR beats RFP_SIMD_LEVEL outright.
-  EXPECT_EQ(resolve_level(Level::kAvx512, "1", "avx512"), Level::kScalar);
-  EXPECT_EQ(resolve_level(Level::kAvx512, "yes", "avx2"), Level::kScalar);
-  // ...unless it spells one of the documented "off" values.
-  EXPECT_EQ(resolve_level(Level::kAvx512, "0", "avx2"), Level::kAvx2);
-  EXPECT_EQ(resolve_level(Level::kAvx512, "false", nullptr), Level::kAvx512);
-  EXPECT_EQ(resolve_level(Level::kAvx512, "off", nullptr), Level::kAvx512);
-}
-
-TEST(SimdDispatch, ChooseForcesScalarPerCall) {
-  EXPECT_EQ(choose(true), Level::kScalar);
-  EXPECT_EQ(choose(false), active());
 }
 
 // ---------------------------------------------------------------------------
@@ -229,47 +189,11 @@ TEST(SimdKernels, Avx2MatchesScalarBitExact) {
   }
 }
 
-TEST(SimdKernels, Avx512MatchesScalarBitExact) {
-  if (!avx512_runnable()) {
-    GTEST_SKIP() << "AVX-512 unavailable on this host/build";
-  }
-  Rng rng(4112);
-  // Every loop regime of the AVX-512 kernel: below one 8-lane vector, the
-  // 8/32-wide bodies, and ragged tails of each — plus unaligned begins.
-  for (std::size_t n_antennas : {1u, 2u, 4u, 7u, 12u}) {
-    for (std::size_t n_cells :
-         {1u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u,
-          100u}) {
-      const std::size_t stride = padded_stride(n_cells + 6);
-      const StatsFixture fx(rng, n_antennas);
-      const AlignedVector<double> dist =
-          random_planes(rng, n_antennas, stride);
-      for (std::size_t begin : {0u, 1u, 3u, 5u}) {
-        if (begin + n_cells > stride) continue;
-        std::vector<double> scalar_out(n_cells, -1.0);
-        std::vector<double> wide_out(n_cells, -2.0);
-        const double scalar_min = factored_rss_run(
-            Level::kScalar, fx.stats, dist.data(), stride, begin,
-            begin + n_cells, scalar_out.data());
-        const double wide_min = factored_rss_run(
-            Level::kAvx512, fx.stats, dist.data(), stride, begin,
-            begin + n_cells, wide_out.data());
-        ASSERT_EQ(std::memcmp(scalar_out.data(), wide_out.data(),
-                              n_cells * sizeof(double)),
-                  0)
-            << "antennas=" << n_antennas << " cells=" << n_cells
-            << " begin=" << begin;
-        ASSERT_EQ(scalar_min, wide_min);
-      }
-    }
-  }
-}
-
 TEST(SimdKernels, BatchedRunMatchesPerTagAtEveryLevel) {
   Rng rng(4113);
   // The batched entry must write the exact doubles of B independent
-  // single-tag runs over the shared table — including around the pair
-  // (AVX2), quad and oct (AVX-512) tile boundaries and their remainders.
+  // single-tag runs over the shared table — including around the AVX2
+  // pair-tile boundaries and their remainders.
   const std::size_t n_antennas = 6;
   for (Level level : runnable_levels()) {
     SCOPED_TRACE(name(level));
@@ -316,8 +240,8 @@ TEST(SimdKernels, BatchedRunMatchesPerTagAtEveryLevel) {
 
 TEST(SimdKernels, BatchedRunFallsBackOnMixedAntennaCounts) {
   Rng rng(4114);
-  // Tags with different antenna counts cannot share a pair/quad tile;
-  // the batch must quietly fall back to single-tag runs for them.
+  // Tags with different antenna counts cannot share a pair tile; the
+  // batch must quietly fall back to single-tag runs for them.
   const std::size_t n_cells = 41, stride = padded_stride(n_cells);
   const std::size_t counts[] = {6, 3, 6, 6, 2, 6, 6, 6};
   const AlignedVector<double> dist = random_planes(rng, 6, stride);
@@ -352,10 +276,9 @@ TEST(SimdKernels, BatchedRunFallsBackOnMixedAntennaCounts) {
 
 TEST(SimdKernels, BatchedRunOctTileThenMixedGroupFallsBack) {
   Rng rng(4117);
-  // First eight tags share an antenna count (the AVX-512 oct tile takes
-  // them); the next group mixes counts, so the dispatcher must degrade
-  // through the narrower tiles/single runs without disturbing the first
-  // group's outputs.
+  // The first nine tags share an antenna count (full pair tiles plus an
+  // odd one out); the next group mixes counts, so the dispatcher must
+  // degrade to single runs without disturbing the first group's outputs.
   const std::size_t n_cells = 53, stride = padded_stride(n_cells);
   const std::size_t counts[] = {6, 6, 6, 6, 6, 6, 6, 6, 6, 3, 6, 6, 2, 6};
   const AlignedVector<double> dist = random_planes(rng, 6, stride);

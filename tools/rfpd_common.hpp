@@ -41,10 +41,6 @@ struct DaemonOptions {
   /// Per-reactor buffer-pool residency cap (freelist slots per size
   /// class); 0 keeps the BufferPoolConfig default.
   std::size_t pool_buffers = 0;
-  bool pyramid = false;           ///< coarse-to-fine Stage-A search
-  bool uncached = false;          ///< disable the geometry cache
-  bool scalar = false;            ///< scalar factored ranking (no SIMD)
-  bool batch_rank = true;         ///< tag-batched Stage-A over one table pass
   bool drift = false;             ///< online drift self-calibration
   bool track = false;             ///< grant per-session trajectory tracking
   /// Serve a surveyed deployment from files instead of the seed-keyed
@@ -74,20 +70,14 @@ inline int run_daemon(const char* name, const DaemonOptions& options) {
   bed_config.multipath_environment = options.multipath;
   const Testbed bed(bed_config);
 
-  // Solver-mode variant (same geometry + calibration; only the Stage-A
-  // search strategy differs — see DESIGN.md "Solver acceleration").
+  // Drift variant (same geometry + calibration; only the drift switch
+  // differs).
   RfPrismConfig prism_config = bed.prism().config();
-  prism_config.disentangle.use_geometry_cache = !options.uncached;
-  prism_config.disentangle.pyramid.enable = options.pyramid;
-  if (options.scalar) {
-    prism_config.disentangle.rank_kernel = RankKernel::kFactoredScalar;
-  }
-  prism_config.disentangle.batch_rank = options.batch_rank;
   prism_config.disentangle.drift.enable = options.drift;
 
   // Default deployment: the seed-keyed testbed, unless survey /
-  // calibration files override it (solver modes stay as chosen above —
-  // files ship the site, never the solver).
+  // calibration files override it (the drift switch stays as chosen
+  // above — files ship the site, never the solver).
   std::optional<RfPrism> pipeline;
   const bool file_deployment =
       !options.geometry_path.empty() || !options.calibration_path.empty();
@@ -133,27 +123,19 @@ inline int run_daemon(const char* name, const DaemonOptions& options) {
 
   if (file_deployment) {
     std::printf("%s: deployment from %s%s%s, %zu antennas, "
-                "%zu worker thread(s), %zu reactor(s), solver %s%s%s%s\n",
+                "%zu worker thread(s), %zu reactor(s)\n",
                 name,
                 options.geometry_path.empty() ? "seed geometry"
                                               : options.geometry_path.c_str(),
                 options.calibration_path.empty() ? "" : " + ",
                 options.calibration_path.c_str(),
                 prism.config().geometry.n_antennas(), engine.n_threads(),
-                server_config.reactors,
-                options.uncached ? "uncached" : "cached",
-                options.pyramid ? "+pyramid" : "",
-                options.scalar ? "+scalar" : "",
-                options.batch_rank ? "" : "+no-batch-rank");
+                server_config.reactors);
   } else {
     std::printf("%s: deployment seed %llu, %zu antennas, "
-                "%zu worker thread(s), %zu reactor(s), solver %s%s%s%s\n",
+                "%zu worker thread(s), %zu reactor(s)\n",
                 name, static_cast<unsigned long long>(options.seed),
-                options.antennas, engine.n_threads(), server_config.reactors,
-                options.uncached ? "uncached" : "cached",
-                options.pyramid ? "+pyramid" : "",
-                options.scalar ? "+scalar" : "",
-                options.batch_rank ? "" : "+no-batch-rank");
+                options.antennas, engine.n_threads(), server_config.reactors);
   }
   if (options.drift) {
     std::printf("%s: drift self-calibration enabled\n", name);

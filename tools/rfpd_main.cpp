@@ -11,9 +11,7 @@
 ///        [--seed S] [--antennas N] [--multipath] [--idle-timeout SEC]
 ///        [--max-conns N] [--max-pending N] [--max-tenants N]
 ///        [--pool-buffers N]
-///        [--geometry FILE] [--calibration FILE]
-///        [--pyramid] [--uncached] [--scalar] [--no-batch-rank]
-///        [--drift] [--track]
+///        [--geometry FILE] [--calibration FILE] [--drift] [--track]
 ///
 /// --port 0 binds an ephemeral port; the actual port is printed on the
 /// "listening on" line (scripts parse it there). --reactors runs N
@@ -40,10 +38,8 @@ int usage() {
                "            [--multipath] [--idle-timeout SEC]\n"
                "            [--max-conns N] [--max-pending N]\n"
                "            [--max-tenants N] [--pool-buffers N]\n"
-               "            [--geometry FILE]\n"
-               "            [--calibration FILE] [--pyramid] [--uncached]\n"
-               "            [--scalar] [--no-batch-rank] [--drift]\n"
-               "            [--track]\n");
+               "            [--geometry FILE] [--calibration FILE]\n"
+               "            [--drift] [--track]\n");
   return 2;
 }
 
@@ -89,16 +85,6 @@ int main(int argc, char** argv) {
         options.geometry_path = next();
       } else if (arg == "--calibration") {
         options.calibration_path = next();
-      } else if (arg == "--pyramid") {
-        options.pyramid = true;
-      } else if (arg == "--uncached") {
-        options.uncached = true;
-      } else if (arg == "--scalar") {
-        options.scalar = true;
-      } else if (arg == "--no-batch-rank") {
-        options.batch_rank = false;
-      } else if (arg == "--batch-rank") {
-        options.batch_rank = true;
       } else if (arg == "--drift") {
         options.drift = true;
       } else if (arg == "--track") {

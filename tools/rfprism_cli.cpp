@@ -91,16 +91,13 @@ int usage() {
                "                 [--host H] [--port N] [--timeout SEC]\n"
                "  rfprism batch [--rounds N] [--threads N] [--material NAME|all]\n"
                "                [--multipath] [--seed S] [--verify]\n"
-               "                [--pyramid] [--uncached] [--scalar]\n"
-               "                [--no-batch-rank]\n"
                "  rfprism serve [--port N] [--bind ADDR] [--threads N]\n"
                "                [--reactors N] [--seed S] [--antennas N]\n"
                "                [--multipath] [--idle-timeout SEC]\n"
                "                [--max-conns N] [--max-tenants N]\n"
                "                [--pool-buffers N]\n"
                "                [--geometry FILE] [--calibration FILE]\n"
-               "                [--pyramid] [--uncached] [--scalar] [--drift]\n"
-               "                [--no-batch-rank] [--track]\n"
+               "                [--drift] [--track]\n"
                "  rfprism request [--host H] [--port N] [--trace FILE]\n"
                "                  [--trial K] [--seed S] [--antennas N]\n"
                "                  [--multipath] [--material NAME] [--tag ID]\n"
@@ -653,10 +650,6 @@ struct BatchOptions {
   bool multipath = false;
   std::uint64_t seed = 42;
   bool verify = false;
-  bool pyramid = false;   ///< coarse-to-fine Stage-A search
-  bool uncached = false;  ///< disable the geometry cache (baseline timing)
-  bool scalar = false;    ///< rank with the scalar factored kernel (no SIMD)
-  bool batch_rank = true;  ///< tag-batched Stage-A over one shared table pass
 };
 
 /// Exact equality on everything sensing computes. Bit-identity across
@@ -681,17 +674,7 @@ int run_batch(const BatchOptions& options) {
   config.seed = options.seed;
   config.multipath_environment = options.multipath;
   Testbed bed(config);
-
-  // Solver-mode variant of the deployment pipeline (same geometry and
-  // calibration; only the Stage-A search strategy differs).
-  RfPrismConfig prism_config = bed.prism().config();
-  prism_config.disentangle.use_geometry_cache = !options.uncached;
-  prism_config.disentangle.pyramid.enable = options.pyramid;
-  if (options.scalar) {
-    prism_config.disentangle.rank_kernel = RankKernel::kFactoredScalar;
-  }
-  prism_config.disentangle.batch_rank = options.batch_rank;
-  const RfPrism prism = bed.make_pipeline_variant(std::move(prism_config));
+  const RfPrism& prism = bed.prism();
 
   const auto materials = paper_materials();
   Rng rng(mix_seed(options.seed, 0xBA7C));
@@ -711,11 +694,8 @@ int run_batch(const BatchOptions& options) {
   }
 
   SensingEngine engine(options.threads);
-  std::printf("sensing %zu rounds on %zu thread(s), solver %s%s%s%s...\n", n,
-              engine.n_threads(), options.uncached ? "uncached" : "cached",
-              options.pyramid ? "+pyramid" : "",
-              options.scalar ? "+scalar" : "",
-              options.batch_rank ? "" : "+no-batch-rank");
+  std::printf("sensing %zu rounds on %zu thread(s)...\n", n,
+              engine.n_threads());
 
   // Warm-up pass populates each per-thread workspace (and the geometry
   // cache) so the timed pass measures the steady-state solve path.
@@ -1015,16 +995,6 @@ int main(int argc, char** argv) {
           options.seed = std::stoull(next());
         } else if (arg == "--verify") {
           options.verify = true;
-        } else if (arg == "--pyramid") {
-          options.pyramid = true;
-        } else if (arg == "--uncached") {
-          options.uncached = true;
-        } else if (arg == "--scalar") {
-          options.scalar = true;
-        } else if (arg == "--no-batch-rank") {
-          options.batch_rank = false;
-        } else if (arg == "--batch-rank") {
-          options.batch_rank = true;
         } else {
           std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
           return usage();
@@ -1115,16 +1085,6 @@ int main(int argc, char** argv) {
           options.geometry_path = next();
         } else if (arg == "--calibration") {
           options.calibration_path = next();
-        } else if (arg == "--pyramid") {
-          options.pyramid = true;
-        } else if (arg == "--uncached") {
-          options.uncached = true;
-        } else if (arg == "--scalar") {
-          options.scalar = true;
-        } else if (arg == "--no-batch-rank") {
-          options.batch_rank = false;
-        } else if (arg == "--batch-rank") {
-          options.batch_rank = true;
         } else if (arg == "--drift") {
           options.drift = true;
         } else if (arg == "--track") {
