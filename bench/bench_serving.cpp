@@ -10,7 +10,13 @@
 ///   registry on the hot path. Every response is checked byte-for-byte
 ///   against the locally grafted single-tenant pipeline, so a
 ///   wire-determinism regression fails the bench before it skews a
-///   number.
+///   number. A `solve-inproc` row runs the same corpus through
+///   sense_batch on the same engine, 8 rounds per call, as the reference:
+///   CI gates the (1 tenant, 4 clients, depth 8) cell at >= 0.7x its
+///   req/s and the (1 tenant, 1 client, depth 8) window p50 at <= 3x its
+///   8-round p50. A response held back by Nagle and the client's delayed
+///   ACK holds a depth-8 window near 44 ms; with TCP_NODELAY on accepted
+///   sockets a served window costs about one in-process batch.
 ///
 ///   wire — 8 connections blast batched ping frames at servers running
 ///   1, 2, and 4 reactors. Pings are answered inline on the reactor
@@ -46,6 +52,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -509,6 +516,51 @@ int main(int argc, char** argv) {
         quick ? std::vector<std::size_t>{4}
               : std::vector<std::size_t>{1, 8};
     const std::size_t windows = quick ? 3 : 10;
+
+    // In-process reference: the default deployment's corpus through
+    // sense_batch on the same engine, 8 rounds per call, as many rounds
+    // as the 4-client cell serves. CI gates the served cells against it.
+    {
+      constexpr std::size_t kBatch = 8;  // divides both corpus sizes
+      const Deployment& dep = deployments[0];
+      const std::span<const RoundTrace> corpus(dep.corpus);
+      const std::size_t n_batches = 4 * windows;
+      // Warm-up: the first solve builds the geometry cache.
+      (void)server_prism.sense_batch(corpus.first(kBatch), engine,
+                                     dep.bed->tag_id());
+
+      std::vector<double> batch_ms;
+      const auto t0 = Clock::now();
+      for (std::size_t b = 0; b < n_batches; ++b) {
+        const std::size_t first = (b * kBatch) % corpus.size();
+        const auto b0 = Clock::now();
+        const std::vector<SensingResult> results = server_prism.sense_batch(
+            corpus.subspan(first, kBatch), engine, dep.bed->tag_id());
+        batch_ms.push_back(1e3 * seconds_since(b0));
+        for (std::size_t d = 0; d < kBatch; ++d) {
+          if (net::encode_sense_response(results[d]) !=
+              dep.expected[first + d]) {
+            std::fprintf(stderr, "FAIL: in-process mismatch for round %zu\n",
+                         first + d);
+            return 1;
+          }
+        }
+      }
+      const double elapsed = seconds_since(t0);
+
+      Cell cell;
+      cell.mode = "solve-inproc";
+      cell.tenants = 1;
+      cell.clients = 1;
+      cell.depth = kBatch;
+      cell.requests_per_s = static_cast<double>(n_batches * kBatch) / elapsed;
+      cell.p50_ms = percentile(batch_ms, 50.0);
+      cell.p99_ms = percentile(batch_ms, 99.0);
+      cells.push_back(cell);
+      std::printf("  in-process sense_batch of %zu: %.1f req/s, p50 %.2f ms, "
+                  "p99 %.2f ms\n\n",
+                  kBatch, cell.requests_per_s, cell.p50_ms, cell.p99_ms);
+    }
 
     std::printf("  %-8s %-8s %-8s %-14s %-10s %s\n", "tenants", "clients",
                 "depth", "req/s", "p50[ms]", "p99[ms]");

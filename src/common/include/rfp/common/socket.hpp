@@ -76,6 +76,14 @@ UniqueFd tcp_listen(const std::string& address, std::uint16_t port,
 UniqueFd tcp_connect(const std::string& address, std::uint16_t port,
                      double timeout_s, std::string* error);
 
+/// Accept one pending connection on a non-blocking listener, EINTR-retried.
+/// The socket comes back non-blocking and close-on-exec, with TCP_NODELAY
+/// set: the server writes every response as one complete frame, so Nagle
+/// would only hold pipelined responses back for the peer's delayed ACK.
+/// Returns an invalid fd (errno preserved) when nothing is pending or the
+/// accept failed.
+UniqueFd tcp_accept(int listener_fd);
+
 /// One recv() attempt, EINTR-retried. Never blocks on a non-blocking fd.
 IoResult recv_some(int fd, void* buf, std::size_t n);
 

@@ -147,6 +147,17 @@ UniqueFd tcp_connect(const std::string& address, std::uint16_t port,
   return fd;
 }
 
+UniqueFd tcp_accept(int listener_fd) {
+  int fd;
+  do {
+    fd = ::accept4(listener_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) return UniqueFd();
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return UniqueFd(fd);
+}
+
 IoResult recv_some(int fd, void* buf, std::size_t n) {
   for (;;) {
     const ssize_t rc = ::recv(fd, buf, n, 0);

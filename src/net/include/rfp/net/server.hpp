@@ -70,7 +70,12 @@
 /// listeners and stops reading, but every reactor keeps running until its
 /// in-flight solves have completed and their responses have been flushed
 /// (bounded by drain_flush_timeout_s for unwritable peers). No accepted
-/// request loses its response to a graceful shutdown.
+/// request loses its response to a graceful shutdown, and a reactor with
+/// nothing outstanding exits at once.
+///
+/// Accepted sockets set TCP_NODELAY (tcp_accept): every response is one
+/// complete frame written once, and Nagle would only hold pipelined
+/// responses behind the client's delayed ACK.
 
 namespace rfp::net {
 
@@ -110,6 +115,8 @@ struct ServerConfig {
   double stall_timeout_s = 30.0;
   /// At shutdown, how long to keep trying to flush drained responses to
   /// peers that have stopped reading; 0 means don't wait for the flush.
+  /// This only caps a drain with work outstanding: a reactor whose
+  /// connections are all drained exits without waiting.
   double drain_flush_timeout_s = 10.0;
   /// Per-session streaming buffers: each kStreamPush session runs a
   /// StreamingSensor with these caps, so session memory is bounded by the
@@ -227,7 +234,9 @@ class Server {
   void start();
 
   /// Request a graceful stop and wait for run()/the reactor threads to
-  /// finish draining.
+  /// finish draining. Returns as soon as every in-flight solve has been
+  /// answered and flushed (an idle server stops at once); the drain loop's
+  /// 100 ms poll cap only bounds waits while work is outstanding.
   void stop();
 
   /// Async-signal-safe stop request (atomic flag + self-pipe writes);

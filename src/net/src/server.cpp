@@ -6,7 +6,6 @@
 #include <cstring>
 #include <fcntl.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
@@ -212,6 +211,12 @@ class Server::Reactor {
            conn.write_backlog() < server_.config_.max_write_backlog;
   }
 
+  bool all_drained() const {
+    return std::all_of(
+        connections_.begin(), connections_.end(),
+        [](const auto& entry) { return entry.second->drained(); });
+  }
+
   void refresh_snapshots() {
     // Data-path counters live reactor-thread-local (outbox splices) or
     // behind the pool's own lock; fold them into the shared snapshot here
@@ -251,6 +256,10 @@ class Server::Reactor {
         drain_deadline = now_s() + std::max(0.0, config.drain_flush_timeout_s);
         listener_.reset();  // stop accepting; frees the port immediately
       }
+      // Checked before polling: `stopping` is read once per pass, so a
+      // stop that wakes an idle reactor is first seen here, after its wake
+      // byte was consumed — polling again would sleep out the drain cap.
+      if (draining && all_drained()) break;
 
       pfds.clear();
       pfd_conn.clear();
@@ -407,14 +416,7 @@ class Server::Reactor {
       for (std::uint64_t id : to_close) close_connection(id);
 
       refresh_snapshots();
-
-      if (draining) {
-        bool all_drained = true;
-        for (const auto& [id, conn] : connections_) {
-          all_drained = all_drained && conn->drained();
-        }
-        if (all_drained || now_s() >= drain_deadline) break;
-      }
+      if (draining && now_s() >= drain_deadline) break;
     }
 
     server_.open_connections_.fetch_sub(connections_.size(),
@@ -425,19 +427,15 @@ class Server::Reactor {
 
   void accept_ready() {
     for (;;) {
-      const int fd = ::accept4(listener_.get(), nullptr, nullptr,
-                               SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // EAGAIN or transient accept failure: try again next poll
-      }
+      UniqueFd fd = tcp_accept(listener_.get());
+      // EAGAIN or transient accept failure: try again next poll.
+      if (!fd.valid()) return;
       // The connection cap is server-wide (the kernel spreads accepts
       // across reactors, so no single reactor sees them all).
       const std::size_t open =
           server_.open_connections_.fetch_add(1, std::memory_order_relaxed);
       if (open >= server_.config_.max_connections) {
         server_.open_connections_.fetch_sub(1, std::memory_order_relaxed);
-        ::close(fd);
         std::lock_guard<std::mutex> lock(stats_mutex_);
         ++stats_.connections_rejected;
         continue;
@@ -446,7 +444,7 @@ class Server::Reactor {
           server_.config_.max_payload, &outbox_counters_,
           server_.config_.outbox_coalesce_limit, ready_slots_);
       conn->id = next_connection_id_++;
-      conn->fd = UniqueFd(fd);
+      conn->fd = std::move(fd);
       conn->tenant = server_.default_tenant_;
       conn->last_activity = now_s();
       conn->last_progress = conn->last_activity;

@@ -3,7 +3,8 @@
 /// and rejected grades included), responses stay in per-connection
 /// request order under pipelining and backpressure, malformed input gets
 /// an error frame or a close (never a crash), graceful shutdown drains
-/// every accepted request, and idle connections are reaped.
+/// every accepted request and returns as soon as it has, and idle
+/// connections are reaped.
 
 #include "rfp/net/server.hpp"
 
@@ -661,6 +662,44 @@ TEST(NetServer, ReorderCapShedsConnectionParkedBehindSlowSolve) {
 
   server.stop();
   EXPECT_EQ(server.stats().reorder_evictions, 1u);
+}
+
+TEST(NetServer, StopReturnsOnceDrained) {
+  // With nothing in flight there is nothing to drain: stop() must return
+  // at once, not after each idle reactor sleeps out its drain poll.
+  const Testbed& bed = shared_bed();
+  SensingEngine engine(1);
+  ServerConfig config;
+  config.reactors = 2;
+  std::vector<double> stop_ms;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    Server server(bed.prism(), engine, config);
+    server.start();
+    const auto wait_for_open = [&](std::size_t open) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (server.stats().connections_open != open) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+            << "connections_open never reached " << open;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+    {
+      Client client(client_config(server.port()));
+      client.ping();
+      wait_for_open(1);
+    }
+    wait_for_open(0);  // the reactors are idle in poll() again
+
+    const auto t0 = std::chrono::steady_clock::now();
+    server.stop();
+    stop_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count());
+  }
+  std::sort(stop_ms.begin(), stop_ms.end());
+  EXPECT_LT(stop_ms[1], 50.0) << "stop() took " << stop_ms[0] << ", "
+                              << stop_ms[1] << ", " << stop_ms[2] << " ms";
 }
 
 TEST(NetServer, StartStopWithoutTrafficIsClean) {
