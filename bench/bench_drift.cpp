@@ -63,14 +63,13 @@ struct LoopResult {
 };
 
 /// One closed-loop pass: the tag wanders the working region while the
-/// deployment ages. `estimator` non-null runs the corrected pipeline
-/// (snapshot corrections -> solve), with the survey's reference
+/// deployment ages. A drift-enabled `prism` runs the corrected pipeline
+/// (its own corrections -> solve), with the survey's reference
 /// transponder re-read every round and observed against its known pose —
 /// residuals at a known pose expose the full differential drift, where
 /// solved-pose residuals only see what the position fit failed to absorb.
 LoopResult run_loop(const Testbed& bed, const RfPrism& prism,
-                    const FaultInjector* injector,
-                    DriftEstimator* estimator, std::uint64_t trial_base,
+                    const FaultInjector* injector, std::uint64_t trial_base,
                     std::size_t rounds = kRounds) {
   LoopResult out;
   Rng rng(mix_seed(trial_base, 0xD21F7));
@@ -82,22 +81,16 @@ LoopResult run_loop(const Testbed& bed, const RfPrism& prism,
     const TagState state = bed.tag_state(p, rng.uniform(0.0, kPi), "plastic");
     RoundTrace round = bed.collect(state, trial);
     if (injector != nullptr) round = injector->apply(round, trial);
-    DriftCorrections snapshot;
-    if (estimator != nullptr) snapshot = estimator->corrections();
-    const SensingResult r =
-        prism.sense(round, bed.tag_id(), nullptr,
-                    estimator != nullptr ? &snapshot : nullptr);
-    if (estimator != nullptr) {
+    const SensingResult r = prism.sense(round, bed.tag_id());
+    if (prism.drift_enabled()) {
       RoundTrace ref_round = bed.collect(ref_state, 100000 + trial);
       if (injector != nullptr) ref_round = injector->apply(ref_round, trial);
-      estimator->observe(prism.sense(ref_round, bed.tag_id(), nullptr,
-                                     &snapshot),
-                         prism.config().geometry, &ref);
+      prism.observe_drift(prism.sense(ref_round, bed.tag_id()), &ref);
     }
     out.err_cm.push_back(
         r.valid ? 100.0 * distance(r.position, state.position) : 100.0);
   }
-  if (estimator != nullptr) out.stats = estimator->stats();
+  out.stats = prism.drift_stats();
   return out;
 }
 
@@ -125,7 +118,7 @@ int main() {
   // The drift-free reference is scenario-independent: same trajectory,
   // no injector, no estimator.
   const double baseline_cm =
-      tail_median(run_loop(bed, bed.prism(), nullptr, nullptr, 0).err_cm);
+      tail_median(run_loop(bed, bed.prism(), nullptr, 0).err_cm);
 
   struct Row {
     Scenario scenario;
@@ -143,16 +136,14 @@ int main() {
     Row row;
     row.scenario = scenario;
     row.uncorrected_cm = tail_median(
-        run_loop(bed, bed.prism(), &injector, nullptr, 0, scenario.rounds)
-            .err_cm);
+        run_loop(bed, bed.prism(), &injector, 0, scenario.rounds).err_cm);
     RfPrismConfig corrected_config = bed.prism().config();
     corrected_config.disentangle.drift.enable = true;
     corrected_config.disentangle.drift.ema_alpha = scenario.ema_alpha;
     const RfPrism corrected =
         bed.make_pipeline_variant(std::move(corrected_config));
-    DriftEstimator estimator(4, corrected.config().disentangle.drift);
     const LoopResult loop =
-        run_loop(bed, corrected, &injector, &estimator, 0, scenario.rounds);
+        run_loop(bed, corrected, &injector, 0, scenario.rounds);
     row.corrected_cm = tail_median(loop.err_cm);
     row.stats = loop.stats;
     std::printf("  %-14s %9.2f cm  %9.2f cm  %-9llu %llu\n",

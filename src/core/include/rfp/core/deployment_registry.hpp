@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "rfp/core/calibration.hpp"
@@ -18,18 +17,19 @@
 /// many sites: each wire session ships its surveyed geometry +
 /// calibration database (wire protocol v2's kSessionSetup), and the
 /// registry resolves that deployment to a *tenant* — an RfPrism grafted
-/// onto the server's solver settings, plus an optional per-tenant drift
-/// estimator. Tenants are keyed by a digest of the deployment's canonical
-/// encoding, so two sessions shipping byte-equal deployments share one
-/// tenant (and thus one drift estimate), while the heavy per-deployment
+/// onto the server's solver settings, which owns the deployment's drift
+/// estimate when drift is enabled. Tenants are keyed by a digest of the
+/// deployment's canonical encoding, so two sessions shipping byte-equal
+/// deployments share one tenant (and thus one drift estimate, fed by
+/// their senses and streams alike), while the heavy per-deployment
 /// artifacts — the Stage-A distance tables — are shared further down by
 /// the engine's GridGeometryCache, which keys on the physical geometry by
 /// itself. The thread pool and workspaces are the engine's; the registry
 /// adds no execution resources, only identity and per-tenant state.
 ///
 /// Thread-safe: acquire()/stats() may race across reactor threads; tenant
-/// counters are atomics and each tenant's drift estimator has its own
-/// lock (value-snapshot corrections, exactly like SensingEngine's).
+/// counters are atomics and each tenant prism locks its own drift
+/// estimator.
 
 namespace rfp {
 
@@ -45,7 +45,7 @@ struct TenantStats {
   std::uint64_t stream_reads = 0;        ///< reads pushed into sessions
   std::uint64_t stream_emissions = 0;    ///< streamed results returned
   std::uint64_t stream_evictions = 0;    ///< session-buffer evictions
-  DriftStats drift;                      ///< all-zero unless drift_enabled
+  DriftStats drift;  ///< the prism's estimate; all-zero unless drift_enabled
 };
 
 /// One tenant: the deployment-specific half of a solve. Obtained from a
@@ -56,19 +56,6 @@ class DeploymentTenant {
   const RfPrism& prism() const { return *prism_; }
   std::uint64_t digest() const { return digest_; }
   bool is_default() const { return is_default_; }
-
-  // ---- Per-tenant drift self-calibration -------------------------------
-  // Same contract as SensingEngine's deployment-level estimator: snapshot
-  // corrections by value before the solve, feed the result back after.
-  // The *default* tenant usually keeps using the engine's estimator
-  // (rfpd --drift predates tenancy); session tenants own theirs here.
-
-  bool drift_enabled() const;
-  DriftCorrections drift_corrections() const;
-  void observe_drift(const SensingResult& result,
-                     const ReferencePose* reference = nullptr);
-  DriftStats drift_stats() const;
-  std::vector<ReSurveyAlarm> drift_alarms() const;
 
   // ---- Serving counters (incremented by the server) --------------------
   void count_session_opened() { ++sessions_opened_; }
@@ -99,9 +86,6 @@ class DeploymentTenant {
   std::unique_ptr<RfPrism> owned_prism_;    ///< session tenants own theirs
   const RfPrism* prism_ = nullptr;          ///< default tenant borrows
 
-  mutable std::mutex drift_mutex_;
-  std::optional<DriftEstimator> drift_;
-
   std::atomic<std::uint64_t> sessions_opened_{0};
   std::atomic<std::uint64_t> requests_completed_{0};
   std::atomic<std::uint64_t> requests_failed_{0};
@@ -128,8 +112,8 @@ class DeploymentRegistry {
 
   /// Resolve a shipped deployment to its tenant, creating it on first
   /// sight. Byte-equal deployments share a tenant; `enable_drift` turns
-  /// on the per-tenant estimator for a *new* tenant (an existing tenant's
-  /// drift state is never reset by a new session). Throws InvalidArgument
+  /// on drift in a *new* tenant's prism (an existing tenant's drift state
+  /// is never reset by a new session). Throws InvalidArgument
   /// when RfPrism rejects the geometry or the calibration's antenna count
   /// mismatches, and Error("deployment registry full") when at capacity
   /// with every tenant pinned by a live session.

@@ -52,7 +52,8 @@ struct DisentangleConfig {
   double orientation_refine_tol_rad = 1e-6;
 
   /// Warm start: when the caller passes a position hint (solve_position's
-  /// `warm_hint`, RfPrism::sense_warm, StreamingConfig::enable_warm_start),
+  /// `warm_hint`, RfPrism::sense_batch's `warm_hints`,
+  /// StreamingConfig::enable_warm_start),
   /// scan only a local window around the hint and LM-refine. Falls back to
   /// the full grid — byte-identical to the cold solve — whenever the
   /// windowed solve's refined RMS exceeds `max_rms` or the hint misses the
@@ -64,10 +65,10 @@ struct DisentangleConfig {
   };
   WarmStart warm_start;
 
-  /// Online drift self-calibration (drift.hpp): when enabled, owners of a
-  /// DriftEstimator (SensingEngine, StreamingSensor, rfpd) subtract its
-  /// per-antenna corrections from the calibrated lines before the solve
-  /// and feed every valid result back in. Off by default — and when off,
+  /// Online drift self-calibration (drift.hpp): when enabled, the RfPrism
+  /// owns a DriftEstimator, subtracts its per-antenna corrections from the
+  /// calibrated lines before the solve, and its callers (StreamingSensor,
+  /// rfpd) feed every result back in. Off by default — and when off,
   /// every pipeline output is byte-identical to the drift-free build.
   DriftConfig drift;
 };

@@ -142,9 +142,8 @@ struct DriftStats {
 };
 
 /// Tracks per-antenna calibration drift across solved rounds. Not
-/// thread-safe by itself: owners that share one across threads
-/// (SensingEngine) serialize access behind their own lock;
-/// StreamingSensor observes in emission order on one thread.
+/// thread-safe by itself: its one owner, the deployment's RfPrism,
+/// serializes access behind its own lock.
 class DriftEstimator {
  public:
   /// Throws InvalidArgument on zero antennas or out-of-range tuning.

@@ -2,13 +2,9 @@
 
 #include <cstddef>
 #include <functional>
-#include <mutex>
-#include <optional>
 #include <utility>
-#include <vector>
 
 #include "rfp/common/thread_pool.hpp"
-#include "rfp/core/drift.hpp"
 #include "rfp/core/grid_cache.hpp"
 
 /// \file engine.hpp
@@ -19,7 +15,9 @@
 /// rounds need to be solved. Scratch is per thread, never per engine:
 /// every thread that solves — each pool worker and each caller outside the
 /// pool — uses its own SolveWorkspace::for_this_thread(), so concurrent
-/// callers (several reactors, say) never share scratch.
+/// callers (several reactors, say) never share scratch. An engine holds no
+/// deployment state: the drift estimate belongs to each deployment's
+/// RfPrism, so one engine serves every tenant.
 ///
 /// Determinism guarantee: everything executed through an engine
 /// (RfPrism::sense_batch, the pool-fanned grid scan) is bit-identical to
@@ -50,43 +48,9 @@ class SensingEngine {
   /// (bit-identical) tables.
   GridGeometryCache& geometry_cache() { return geometry_cache_; }
 
-  // ---- Deployment-level drift self-calibration (drift.hpp) -------------
-  // The engine is the natural owner for serving: every request routed
-  // through it (rfpd's workers, CLI batch jobs) shares one estimator.
-  // Mutex-guarded because observe/corrections race across worker threads;
-  // callers snapshot corrections by value before the solve.
-
-  /// Install (or replace) the engine's drift estimator. Throws
-  /// InvalidArgument on a zero antenna count or invalid config.
-  void enable_drift(std::size_t n_antennas, DriftConfig config = {});
-
-  bool drift_enabled() const;
-
-  /// Value snapshot of the current corrections; inactive (all-zero) when
-  /// drift is not enabled or the estimator has not warmed up.
-  DriftCorrections drift_corrections() const;
-
-  /// Feed a completed round back into the estimator. No-op when drift is
-  /// not enabled. Rounds read from a reference transponder at a known
-  /// pose pass it as `reference` for fully-observable residuals (see
-  /// DriftEstimator::observe).
-  void observe_drift(const SensingResult& result,
-                     const DeploymentGeometry& geometry,
-                     const ReferencePose* reference = nullptr);
-
-  DriftStats drift_stats() const;
-  std::vector<ReSurveyAlarm> drift_alarms() const;
-
-  /// Access the estimator under the engine's lock (serialization, tests).
-  /// `fn` must not re-enter the engine's drift API. No-op when drift is
-  /// not enabled.
-  void with_drift(const std::function<void(DriftEstimator&)>& fn);
-
  private:
   ThreadPool pool_;
   GridGeometryCache geometry_cache_;
-  mutable std::mutex drift_mutex_;
-  std::optional<DriftEstimator> drift_;
 };
 
 }  // namespace rfp

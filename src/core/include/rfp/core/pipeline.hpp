@@ -1,5 +1,8 @@
 #pragma once
 
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -9,6 +12,7 @@
 #include "rfp/core/antenna_health.hpp"
 #include "rfp/core/calibration.hpp"
 #include "rfp/core/disentangle.hpp"
+#include "rfp/core/drift.hpp"
 #include "rfp/core/error_detector.hpp"
 #include "rfp/core/fitting.hpp"
 #include "rfp/core/preprocess.hpp"
@@ -31,7 +35,6 @@
 namespace rfp {
 
 class SensingEngine;
-class GridGeometryCache;
 
 /// Everything the pipeline needs to know about the deployment and its own
 /// thresholds. Geometry is *as measured* — the pipeline never touches the
@@ -53,11 +56,13 @@ struct RfPrismConfig {
   bool enable_degraded_mode = true;
 };
 
-/// Versatile phase-disentangling sensor.
+/// Versatile phase-disentangling sensor. Move-only: it owns its
+/// deployment's drift estimate, which a copy could not share.
 class RfPrism {
  public:
   /// Throws InvalidArgument unless the geometry has >= 3 antennas with
-  /// matching frames (>= 4 in 3D mode).
+  /// matching frames (>= 4 in 3D mode), or when drift is enabled with
+  /// out-of-range tuning.
   explicit RfPrism(RfPrismConfig config);
 
   /// One-time antenna-port equalization (paper §IV-C): `round` must be
@@ -71,7 +76,8 @@ class RfPrism {
   void calibrate_tag(const std::string& tag_id, const RoundTrace& round,
                      const ReferencePose& reference);
 
-  /// Full sensing pass over one hop round. Never throws on bad *data*
+  /// Full sensing pass over one hop round: a batch of one through
+  /// sense_batch(), on the calling thread. Never throws on bad *data*
   /// (the result carries valid=false + reason); throws InvalidArgument on
   /// structurally wrong input (antenna count mismatch).
   ///
@@ -87,71 +93,79 @@ class RfPrism {
   /// ports leave at least the minimum solvable antenna count produce a
   /// kDegraded result on the healthy subset; with fewer healthy ports the
   /// round is rejected with RejectReason::kAntennaHealth.
-  ///
-  /// `drift` optionally supplies a DriftEstimator's correction snapshot
-  /// (drift.hpp). It only takes effect when the config's
-  /// `disentangle.drift.enable` is set *and* the snapshot is active:
-  /// per-antenna slope/intercept corrections are subtracted from the
-  /// calibrated lines before the solve, and ports the snapshot marks
-  /// `drop` join the degraded subset path like gate failures. With drift
-  /// disabled (the default) a null or inactive snapshot changes nothing —
-  /// results stay byte-identical to the drift-free pipeline.
   SensingResult sense(const RoundTrace& round, const std::string& tag_id = {},
-                      const AntennaHealthMonitor* health = nullptr,
-                      const DriftCorrections* drift = nullptr) const;
+                      const AntennaHealthMonitor* health = nullptr) const;
 
-  /// Engine-powered single-round sense: the Stage-A grid scan fans out
-  /// over the engine's pool, and every thread involved uses its own
-  /// SolveWorkspace::for_this_thread(). Bit-identical to sense() for any
-  /// thread count.
+  /// sense() with the Stage-A grid scan fanned out over the engine's pool.
+  /// Bit-identical to sense() for any thread count.
   SensingResult sense(const RoundTrace& round, SensingEngine& engine,
                       const std::string& tag_id = {},
-                      const AntennaHealthMonitor* health = nullptr,
-                      const DriftCorrections* drift = nullptr) const;
+                      const AntennaHealthMonitor* health = nullptr) const;
 
-  /// Warm-started single-round sense: `hint` seeds a windowed position
-  /// solve (DisentangleConfig::warm_start) that falls back to the full
-  /// grid — byte-identical to the cold sense — when the windowed residual
-  /// is too high or the hint misses the working region. Use when the tag
-  /// was recently localized (StreamingSensor does this automatically with
-  /// enable_warm_start). With a null `engine` the shared process cache
-  /// and the calling thread are used.
-  SensingResult sense_warm(const RoundTrace& round, const std::string& tag_id,
-                           Vec3 hint,
-                           const AntennaHealthMonitor* health = nullptr,
-                           SensingEngine* engine = nullptr,
-                           const DriftCorrections* drift = nullptr) const;
-
-  /// Batch sensing: fit and grade the rounds across the engine's pool,
-  /// rank all of their positions in one shared Stage-A pass, then finish
-  /// each round on the pool. Results come back in input order and are
-  /// bit-identical to calling sense() on each round sequentially —
-  /// including degraded/rejected grades — regardless of the engine's
-  /// thread count or of other threads calling into the same engine.
-  /// `tag_id` applies to every round.
-  ///
-  /// Exceptions from structurally wrong rounds (antenna count mismatch)
-  /// propagate: the first failing round *in input order* wins, after all
-  /// rounds have finished.
+  /// sense_batch() below with one `tag_id` for every round.
   std::vector<SensingResult> sense_batch(
       std::span<const RoundTrace> rounds, SensingEngine& engine,
       const std::string& tag_id = {},
-      const AntennaHealthMonitor* health = nullptr,
-      const DriftCorrections* drift = nullptr) const;
+      const AntennaHealthMonitor* health = nullptr) const;
 
-  /// Per-round tag ids (`tag_ids` empty, or one id per round — anything
-  /// else throws InvalidArgument). The multi-tag streaming shape.
+  /// Batch sensing with per-round tag ids and warm hints, the general form
+  /// of every entry point above (they all run the same body): fit and
+  /// grade each round, rank all of their positions in one shared Stage-A
+  /// pass, then finish each round. With an `engine` the per-round work and
+  /// the grid scan fan out over its pool and the distance tables come from
+  /// its cache; with a null `engine` everything runs on the calling thread
+  /// against GridGeometryCache::shared(). Results come back in input order
+  /// and are bit-identical to sensing each round alone — including
+  /// degraded/rejected grades — regardless of the engine's thread count or
+  /// of other threads calling into the same engine.
   ///
-  /// `warm_hints` is empty or one optional hint per round: rounds with an
-  /// engaged hint run the warm-start path of sense_warm(), the rest solve
-  /// cold. Bit-identical to sensing each round individually with the same
-  /// hint.
+  /// `tag_ids` is empty or one id per round; `warm_hints` is empty or one
+  /// optional hint per round (anything else throws InvalidArgument).
+  /// Rounds with an engaged hint seed a windowed position solve
+  /// (DisentangleConfig::warm_start) that falls back to the full grid —
+  /// byte-identical to the cold solve — when the windowed residual is too
+  /// high or the hint misses the working region.
+  ///
+  /// With `disentangle.drift.enable` set, the drift corrections are
+  /// snapshotted once per call, so every round of the batch sees the same
+  /// estimate: per-antenna slope/intercept corrections are subtracted
+  /// from the calibrated lines before the solve, and ports the estimate
+  /// marks dropped join the degraded subset path like gate failures.
+  /// Until the estimator warms up (and with drift disabled, the default)
+  /// results are byte-identical to the drift-free pipeline.
+  ///
+  /// Exceptions from structurally wrong rounds (antenna count mismatch)
+  /// propagate: the first failing round *in input order* wins.
   std::vector<SensingResult> sense_batch(
       std::span<const RoundTrace> rounds,
-      std::span<const std::string> tag_ids, SensingEngine& engine,
+      std::span<const std::string> tag_ids, SensingEngine* engine,
       const AntennaHealthMonitor* health = nullptr,
-      std::span<const std::optional<Vec3>> warm_hints = {},
-      const DriftCorrections* drift = nullptr) const;
+      std::span<const std::optional<Vec3>> warm_hints = {}) const;
+
+  // ---- Online drift self-calibration (drift.hpp) ------------------------
+  // The prism owns its deployment's one estimate, built when
+  // `disentangle.drift.enable` is set. Every caller that senses the
+  // deployment (rfpd's workers, streaming sessions, CLI loops) feeds it
+  // through the same const prism, so the estimator is locked internally.
+  // With drift disabled each of these is a no-op or an all-zero value.
+
+  bool drift_enabled() const { return drift_ != nullptr; }
+
+  /// Value snapshot of the current corrections (inactive until warm-up).
+  DriftCorrections drift_corrections() const;
+
+  /// Feed a sensed round back into the estimate. Rounds read from a
+  /// reference transponder at a known pose pass it as `reference` for
+  /// fully-observable residuals (see DriftEstimator::observe).
+  void observe_drift(const SensingResult& result,
+                     const ReferencePose* reference = nullptr) const;
+
+  DriftStats drift_stats() const;
+  std::vector<ReSurveyAlarm> drift_alarms() const;
+
+  /// Access the estimator under its lock (per-port state, serialization,
+  /// tests). `fn` must not call back into this prism's drift API.
+  void with_drift(const std::function<void(DriftEstimator&)>& fn) const;
 
   const RfPrismConfig& config() const { return config_; }
   const CalibrationDB& calibrations() const { return db_; }
@@ -167,18 +181,6 @@ class RfPrism {
   std::vector<AntennaLine> fit_round(const RoundTrace& round,
                                      bool apply_reader_cal) const;
 
-  /// The single-round sensing path behind sense() and sense_warm(): an
-  /// explicit workspace (and optionally a pool for the grid scan, a
-  /// geometry cache for the distance tables, and a warm-start hint).
-  /// Shares prepare_round, solve_position_batch (via solve_position) and
-  /// finish_round with sense_batch_impl, so the two cannot drift.
-  SensingResult sense_with(const RoundTrace& round, const std::string& tag_id,
-                           const AntennaHealthMonitor* health,
-                           SolveWorkspace& ws, ThreadPool* pool,
-                           GridGeometryCache* cache,
-                           const Vec3* warm_hint = nullptr,
-                           const DriftCorrections* drift = nullptr) const;
-
   /// A round after fitting, health gating, drift subtraction and error
   /// detection — everything that precedes the position solve. When
   /// `rejected` is set, `result` already carries the final verdict and
@@ -191,27 +193,33 @@ class RfPrism {
 
   PreparedRound prepare_round(const RoundTrace& round,
                               const AntennaHealthMonitor* health,
-                              const DriftCorrections* drift) const;
+                              const DriftCorrections& drift) const;
 
   /// Orientation solve + feature extraction + calibration + grading from
   /// an already-computed position. May throw Error (solver failure) —
-  /// callers catch and reject, exactly like the sequential path.
+  /// the caller catches and rejects.
   SensingResult finish_round(PreparedRound& prep, const std::string& tag_id,
                              const PositionSolve& pos, SolveWorkspace& ws) const;
 
-  /// Shared body of both public sense_batch overloads, singletons
-  /// included: prepare_round per round on the pool, one
-  /// solve_position_batch over the shared distance table, then
-  /// finish_round per round on the pool.
+  /// The one sensing body behind every public entry point: prepare_round
+  /// per round, one solve_position_batch, then finish_round per round.
+  /// `tag_ids` empty means `shared_tag_id` for every round.
   std::vector<SensingResult> sense_batch_impl(
       std::span<const RoundTrace> rounds,
       std::span<const std::string> tag_ids, const std::string& shared_tag_id,
-      SensingEngine& engine, const AntennaHealthMonitor* health,
-      std::span<const std::optional<Vec3>> warm_hints,
-      const DriftCorrections* drift) const;
+      SensingEngine* engine, const AntennaHealthMonitor* health,
+      std::span<const std::optional<Vec3>> warm_hints) const;
+
+  struct LockedDrift {
+    LockedDrift(std::size_t n_antennas, const DriftConfig& config)
+        : estimator(n_antennas, config) {}
+    std::mutex mutex;
+    DriftEstimator estimator;
+  };
 
   RfPrismConfig config_;
   CalibrationDB db_;
+  std::unique_ptr<LockedDrift> drift_;  ///< null unless drift is enabled
 };
 
 }  // namespace rfp

@@ -73,7 +73,7 @@ struct StreamingConfig {
 
   /// Warm-start sensing: keep a per-tag constant-velocity track over the
   /// emitted fixes and seed each completing tag's position solve from the
-  /// track's prediction (RfPrism::sense_warm). The solve falls back to
+  /// track's prediction (a sense_batch warm hint). The solve falls back to
   /// the full grid whenever the windowed residual exceeds
   /// DisentangleConfig::warm_start.max_rms, so accuracy is preserved; a
   /// warm-started solve is *not* bit-identical to a cold one, which is
@@ -124,15 +124,19 @@ struct StreamedResult {
 /// StreamingConfig caps no matter how adversarial the stream is.
 class StreamingSensor {
  public:
-  /// With an `engine`, each poll() senses all completing tags as one
-  /// sense_batch fanned across the engine's pool (both must outlive the
-  /// sensor). Per-round results are bit-identical to the engine-less
-  /// sensor; the one semantic difference is that the health monitor
-  /// advances once per poll instead of between tags of the same poll —
-  /// every round sensed in a poll sees the port-health state from the
-  /// poll's start (a snapshot is the only order-free definition under
-  /// concurrency, and it is what keeps emissions independent of tag-id
-  /// ordering).
+  /// Each poll() senses all completing tags with one RfPrism::sense_batch
+  /// call: fanned across the engine's pool when an `engine` is given (both
+  /// must outlive the sensor), on the calling thread otherwise. Emissions
+  /// are bit-identical either way. Every round sensed in a poll sees the
+  /// port-health and drift state from the poll's start; the health
+  /// monitor and the prism's drift estimate advance as the poll's
+  /// emissions are accounted (a snapshot is the only order-free
+  /// definition under concurrency, and it is what keeps emissions
+  /// independent of tag-id ordering).
+  ///
+  /// With `disentangle.drift.enable` set, every emission is fed to the
+  /// prism's own estimate (RfPrism::observe_drift), in tag-id order within
+  /// a poll: sensors and senses over the same prism share one estimate.
   StreamingSensor(const RfPrism& prism, StreamingConfig config = {},
                   SensingEngine* engine = nullptr);
 
@@ -182,22 +186,6 @@ class StreamingSensor {
     return health_ ? &*health_ : nullptr;
   }
 
-  /// Drift estimator state (nullptr unless the pipeline config enables
-  /// `disentangle.drift`). The sensor owns one estimator per deployment:
-  /// corrections are snapshotted at the start of each poll and every
-  /// emission is folded back in, in emission order (deterministic).
-  const DriftEstimator* drift() const {
-    return drift_ ? &*drift_ : nullptr;
-  }
-
-  /// Drift counters (all-zero when drift is disabled).
-  DriftStats drift_stats() const { return drift_ ? drift_->stats() : DriftStats{}; }
-
-  /// Currently latched re-survey alarms (empty when drift is disabled).
-  std::vector<ReSurveyAlarm> drift_alarms() const {
-    return drift_ ? drift_->alarms() : std::vector<ReSurveyAlarm>{};
-  }
-
   /// Attach a trajectory consumer (see track_sink.hpp): every poll's
   /// sorted emissions are handed to the sink after accounting, and the
   /// warm-start path skips any tag the sink flags as maneuvering. The
@@ -209,7 +197,9 @@ class StreamingSensor {
   /// Currently attached sink (nullptr when none).
   TrackSink* track_sink() const { return track_sink_; }
 
-  /// Drop all partial state, counters, and port-health history.
+  /// Drop all partial state, counters, and port-health history. The drift
+  /// estimate is the deployment's, not the sensor's: clear() leaves it
+  /// alone.
   void clear();
 
  private:
@@ -242,10 +232,6 @@ class StreamingSensor {
   std::map<std::string, PendingTag> pending_;
   StreamingStats stats_;
   std::optional<AntennaHealthMonitor> health_;
-  /// Per-deployment drift self-calibration, constructed when the pipeline
-  /// config enables disentangle.drift. Observed only from poll_at (single
-  /// caller thread), so no lock is needed here.
-  std::optional<DriftEstimator> drift_;
   double high_water_s_ = 0.0;
 
   /// Warm-start state (enable_warm_start only): one track per recently

@@ -76,49 +76,19 @@ std::vector<std::uint8_t> key_material(const DeploymentGeometry& geometry,
 
 }  // namespace
 
-bool DeploymentTenant::drift_enabled() const {
-  const std::lock_guard<std::mutex> lock(drift_mutex_);
-  return drift_.has_value();
-}
-
-DriftCorrections DeploymentTenant::drift_corrections() const {
-  const std::lock_guard<std::mutex> lock(drift_mutex_);
-  if (!drift_.has_value()) return {};
-  return drift_->corrections();
-}
-
-void DeploymentTenant::observe_drift(const SensingResult& result,
-                                     const ReferencePose* reference) {
-  const std::lock_guard<std::mutex> lock(drift_mutex_);
-  if (!drift_.has_value()) return;
-  drift_->observe(result, prism_->config().geometry, reference);
-}
-
-DriftStats DeploymentTenant::drift_stats() const {
-  const std::lock_guard<std::mutex> lock(drift_mutex_);
-  if (!drift_.has_value()) return {};
-  return drift_->stats();
-}
-
-std::vector<ReSurveyAlarm> DeploymentTenant::drift_alarms() const {
-  const std::lock_guard<std::mutex> lock(drift_mutex_);
-  if (!drift_.has_value()) return {};
-  return drift_->alarms();
-}
-
 TenantStats DeploymentTenant::stats() const {
   TenantStats out;
   out.digest = digest_;
   out.n_antennas = prism_->config().geometry.n_antennas();
   out.is_default = is_default_;
-  out.drift_enabled = drift_enabled();
+  out.drift_enabled = prism_->drift_enabled();
   out.sessions_opened = sessions_opened_.load();
   out.requests_completed = requests_completed_.load();
   out.requests_failed = requests_failed_.load();
   out.stream_reads = stream_reads_.load();
   out.stream_emissions = stream_emissions_.load();
   out.stream_evictions = stream_evictions_.load();
-  out.drift = drift_stats();
+  out.drift = prism_->drift_stats();
   return out;
 }
 
@@ -183,7 +153,9 @@ std::shared_ptr<DeploymentTenant> DeploymentRegistry::acquire(
   }
 
   // Graft the shipped deployment onto the server's solver settings: the
-  // client chooses the site, never the solver modes.
+  // client chooses the site, never the solver modes. The drift tuning is
+  // the server's too, but the switch is the session's: a session asking
+  // for drift gets a live estimator whether or not the daemon runs one.
   RfPrismConfig config = base_config_;
   config.geometry = geometry;
   config.disentangle.drift.enable = enable_drift;
@@ -194,14 +166,6 @@ std::shared_ptr<DeploymentTenant> DeploymentRegistry::acquire(
   tenant->prism_ = tenant->owned_prism_.get();
   tenant->digest_ = digest;
   tenant->key_bytes_ = std::move(key);
-  if (enable_drift) {
-    // The server's base DriftConfig carries the tuning knobs but its
-    // enable flag reflects the --drift CLI switch; a session asking for
-    // drift must get a live estimator regardless.
-    DriftConfig drift_config = base_config_.disentangle.drift;
-    drift_config.enable = true;
-    tenant->drift_.emplace(geometry.n_antennas(), drift_config);
-  }
   tenants_[digest] = tenant;
   insertion_order_.push_back(digest);
   return tenant;

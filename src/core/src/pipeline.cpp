@@ -49,6 +49,10 @@ RfPrism::RfPrism(RfPrismConfig config) : config_(std::move(config)) {
   require(config_.geometry.antenna_frames.size() ==
               config_.geometry.n_antennas(),
           "RfPrism: antenna frames/positions mismatch");
+  if (config_.disentangle.drift.enable) {
+    drift_ = std::make_unique<LockedDrift>(config_.geometry.n_antennas(),
+                                           config_.disentangle.drift);
+  }
 }
 
 void RfPrism::import_calibrations(const CalibrationDB& db) {
@@ -102,64 +106,40 @@ SensingResult& reject(SensingResult& result, RejectReason reason) {
 }  // namespace
 
 SensingResult RfPrism::sense(const RoundTrace& round, const std::string& tag_id,
-                             const AntennaHealthMonitor* health,
-                             const DriftCorrections* drift) const {
-  return sense_with(round, tag_id, health, SolveWorkspace::for_this_thread(),
-                    /*pool=*/nullptr, &GridGeometryCache::shared(),
-                    /*warm_hint=*/nullptr, drift);
+                             const AntennaHealthMonitor* health) const {
+  return std::move(
+      sense_batch_impl({&round, 1}, {}, tag_id, nullptr, health, {})[0]);
 }
 
 SensingResult RfPrism::sense(const RoundTrace& round, SensingEngine& engine,
                              const std::string& tag_id,
-                             const AntennaHealthMonitor* health,
-                             const DriftCorrections* drift) const {
-  return sense_with(round, tag_id, health, SolveWorkspace::for_this_thread(),
-                    &engine.pool(), &engine.geometry_cache(),
-                    /*warm_hint=*/nullptr, drift);
-}
-
-SensingResult RfPrism::sense_warm(const RoundTrace& round,
-                                  const std::string& tag_id, Vec3 hint,
-                                  const AntennaHealthMonitor* health,
-                                  SensingEngine* engine,
-                                  const DriftCorrections* drift) const {
-  if (engine != nullptr) {
-    return sense_with(round, tag_id, health, SolveWorkspace::for_this_thread(),
-                      &engine->pool(), &engine->geometry_cache(), &hint,
-                      drift);
-  }
-  return sense_with(round, tag_id, health, SolveWorkspace::for_this_thread(),
-                    /*pool=*/nullptr, &GridGeometryCache::shared(), &hint,
-                    drift);
+                             const AntennaHealthMonitor* health) const {
+  return std::move(
+      sense_batch_impl({&round, 1}, {}, tag_id, &engine, health, {})[0]);
 }
 
 std::vector<SensingResult> RfPrism::sense_batch(
     std::span<const RoundTrace> rounds, SensingEngine& engine,
-    const std::string& tag_id, const AntennaHealthMonitor* health,
-    const DriftCorrections* drift) const {
-  return sense_batch_impl(rounds, /*tag_ids=*/{}, tag_id, engine, health,
-                          /*warm_hints=*/{}, drift);
+    const std::string& tag_id, const AntennaHealthMonitor* health) const {
+  return sense_batch_impl(rounds, {}, tag_id, &engine, health, {});
 }
 
 std::vector<SensingResult> RfPrism::sense_batch(
     std::span<const RoundTrace> rounds, std::span<const std::string> tag_ids,
-    SensingEngine& engine, const AntennaHealthMonitor* health,
-    std::span<const std::optional<Vec3>> warm_hints,
-    const DriftCorrections* drift) const {
+    SensingEngine* engine, const AntennaHealthMonitor* health,
+    std::span<const std::optional<Vec3>> warm_hints) const {
   require(tag_ids.empty() || tag_ids.size() == rounds.size(),
           "RfPrism::sense_batch: tag_ids must be empty or match rounds");
   require(warm_hints.empty() || warm_hints.size() == rounds.size(),
           "RfPrism::sense_batch: warm_hints must be empty or match rounds");
-  return sense_batch_impl(rounds, tag_ids, /*shared_tag_id=*/{}, engine, health,
-                          warm_hints, drift);
+  return sense_batch_impl(rounds, tag_ids, {}, engine, health, warm_hints);
 }
 
 std::vector<SensingResult> RfPrism::sense_batch_impl(
     std::span<const RoundTrace> rounds, std::span<const std::string> tag_ids,
-    const std::string& shared_tag_id, SensingEngine& engine,
+    const std::string& shared_tag_id, SensingEngine* engine,
     const AntennaHealthMonitor* health,
-    std::span<const std::optional<Vec3>> warm_hints,
-    const DriftCorrections* drift) const {
+    std::span<const std::optional<Vec3>> warm_hints) const {
   std::vector<SensingResult> results(rounds.size());
   const DisentangleConfig& dc = config_.disentangle;
   const auto tag_of = [&](std::size_t i) -> const std::string& {
@@ -169,24 +149,35 @@ std::vector<SensingResult> RfPrism::sense_batch_impl(
     return (!warm_hints.empty() && warm_hints[i].has_value()) ? &*warm_hints[i]
                                                               : nullptr;
   };
-
-  // Phase 1: fit + gate every round on the pool, one round per chunk
+  // Run `fn(i)` for every round: one round per chunk on the engine's pool
   // (every chunk writes only its own pre-assigned slot, so results are in
-  // input order and independent of scheduling). prepare_round needs no
-  // workspace; exceptions (antenna-count mismatch) keep parallel_for's
-  // first-in-chunk-order semantics.
+  // input order and independent of scheduling; exceptions keep
+  // parallel_for's first-in-chunk-order semantics), or a plain loop on
+  // the calling thread.
+  const auto for_each_round = [&](const auto& fn) {
+    if (engine == nullptr) {
+      for (std::size_t i = 0; i < rounds.size(); ++i) fn(i);
+      return;
+    }
+    engine->pool().parallel_for(
+        rounds.size(), 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+          for (std::size_t i = begin; i < end; ++i) fn(i);
+        });
+  };
+
+  // One drift snapshot per call (inactive without drift): every round sees
+  // the same estimate, whatever the thread count.
+  const DriftCorrections drift = drift_corrections();
+
+  // Phase 1: fit + gate every round (needs no workspace).
   std::vector<PreparedRound> preps(rounds.size());
-  engine.pool().parallel_for(
-      rounds.size(), 1,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t i = begin; i < end; ++i) {
-          preps[i] = prepare_round(rounds[i], health, drift);
-        }
-      });
+  for_each_round([&](std::size_t i) {
+    preps[i] = prepare_round(rounds[i], health, drift);
+  });
 
   // Phase 2: tag-major Stage A over the shared table. Every round shares
   // the deployment geometry, so the cache lookup is one digest+lock per
-  // batch; solve_position_batch fans the grid rows out over the pool.
+  // call; solve_position_batch fans the grid rows out over the pool.
   std::vector<BatchedRankRequest> requests;
   std::vector<std::size_t> req_of(rounds.size(), 0);
   requests.reserve(rounds.size());
@@ -200,61 +191,90 @@ std::vector<SensingResult> RfPrism::sense_batch_impl(
   std::vector<std::uint8_t> solved(requests.size(), 0);
   std::shared_ptr<const GridTable> table;
   if (!requests.empty()) {
+    GridGeometryCache& cache = engine != nullptr ? engine->geometry_cache()
+                                                 : GridGeometryCache::shared();
     try {
-      table = engine.geometry_cache().acquire(
+      table = cache.acquire(
           config_.geometry,
           GridSpec{dc.grid_nx, dc.grid_ny, std::max<std::size_t>(dc.grid_nz, 1),
                    dc.z_lo, dc.z_hi});
     } catch (const Error&) {
       // A degenerate grid has no table: `solved` stays all-zero, so every
-      // round is a solver failure, exactly as sense() reports it.
+      // round is a solver failure.
     }
   }
   if (table != nullptr) {
     solve_position_batch(config_.geometry, requests, dc,
-                         SolveWorkspace::for_this_thread(), &engine.pool(),
-                         *table, solves, solved);
+                         SolveWorkspace::for_this_thread(),
+                         engine != nullptr ? &engine->pool() : nullptr, *table,
+                         solves, solved);
   }
 
-  // Phase 3: orientation + features + grading per round on the pool.
-  engine.pool().parallel_for(
-      rounds.size(), 1,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (preps[i].rejected) {
-            results[i] = std::move(preps[i].result);
-            continue;
-          }
-          const std::size_t r = req_of[i];
-          if (solved[r] == 0) {
-            results[i] = reject(preps[i].result, RejectReason::kSolverFailure);
-            continue;
-          }
-          try {
-            results[i] = finish_round(preps[i], tag_of(i), solves[r],
-                                      SolveWorkspace::for_this_thread());
-          } catch (const Error&) {
-            results[i] = reject(preps[i].result, RejectReason::kSolverFailure);
-          }
-        }
-      });
+  // Phase 3: orientation + features + grading per round.
+  for_each_round([&](std::size_t i) {
+    if (preps[i].rejected) {
+      results[i] = std::move(preps[i].result);
+      return;
+    }
+    const std::size_t r = req_of[i];
+    if (solved[r] == 0) {
+      results[i] = reject(preps[i].result, RejectReason::kSolverFailure);
+      return;
+    }
+    try {
+      results[i] = finish_round(preps[i], tag_of(i), solves[r],
+                                SolveWorkspace::for_this_thread());
+    } catch (const Error&) {
+      results[i] = reject(preps[i].result, RejectReason::kSolverFailure);
+    }
+  });
   return results;
+}
+
+DriftCorrections RfPrism::drift_corrections() const {
+  if (drift_ == nullptr) return {};
+  const std::lock_guard<std::mutex> lock(drift_->mutex);
+  return drift_->estimator.corrections();
+}
+
+void RfPrism::observe_drift(const SensingResult& result,
+                            const ReferencePose* reference) const {
+  if (drift_ == nullptr) return;
+  const std::lock_guard<std::mutex> lock(drift_->mutex);
+  drift_->estimator.observe(result, config_.geometry, reference);
+}
+
+DriftStats RfPrism::drift_stats() const {
+  if (drift_ == nullptr) return {};
+  const std::lock_guard<std::mutex> lock(drift_->mutex);
+  return drift_->estimator.stats();
+}
+
+std::vector<ReSurveyAlarm> RfPrism::drift_alarms() const {
+  if (drift_ == nullptr) return {};
+  const std::lock_guard<std::mutex> lock(drift_->mutex);
+  return drift_->estimator.alarms();
+}
+
+void RfPrism::with_drift(
+    const std::function<void(DriftEstimator&)>& fn) const {
+  if (drift_ == nullptr) return;
+  const std::lock_guard<std::mutex> lock(drift_->mutex);
+  fn(drift_->estimator);
 }
 
 RfPrism::PreparedRound RfPrism::prepare_round(
     const RoundTrace& round, const AntennaHealthMonitor* health,
-    const DriftCorrections* drift) const {
+    const DriftCorrections& drift) const {
   PreparedRound prep;
   SensingResult& result = prep.result;
   std::vector<AntennaLine>& solve_lines = prep.solve_lines;
   result.lines = fit_round(round, /*apply_reader_cal=*/true);
   const bool mode_3d = config_.disentangle.grid_nz > 1;
   const std::size_t min_antennas = mode_3d ? 4 : 3;
-  // Drift corrections only bite when the feature is enabled in config AND
-  // the caller's snapshot is warmed up; otherwise this path is bit-for-bit
-  // the drift-free pipeline.
-  const bool use_drift =
-      config_.disentangle.drift.enable && drift != nullptr && drift->active;
+  // Drift corrections only bite once the estimator has warmed up; until
+  // then this path is bit-for-bit the drift-free pipeline.
+  const bool use_drift = drift.active;
 
   // ---- Antenna-subset selection (degraded mode) -----------------------
   // Gate each port's *this-round* data: with the detector on, the §V-C
@@ -280,7 +300,7 @@ RfPrism::PreparedRound RfPrism::prepare_round(
       // the degraded subset path like gate failures: their lines are too
       // far gone to trust even corrected.
       const bool drift_dropped =
-          use_drift && antenna < drift->drop.size() && drift->drop[antenna];
+          use_drift && antenna < drift.drop.size() && drift.drop[antenna];
       if (!gate[i] || drift_dropped) {
         result.unhealthy_antennas.push_back(antenna);
       }
@@ -302,9 +322,9 @@ RfPrism::PreparedRound RfPrism::prepare_round(
   // shift, so the error detector's gates behave identically.
   if (use_drift) {
     for (AntennaLine& line : solve_lines) {
-      if (line.antenna < drift->slope.size()) {
-        line.fit.slope -= drift->slope[line.antenna];
-        line.fit.intercept -= drift->intercept[line.antenna];
+      if (line.antenna < drift.slope.size()) {
+        line.fit.slope -= drift.slope[line.antenna];
+        line.fit.intercept -= drift.intercept[line.antenna];
       }
     }
   }
@@ -369,8 +389,7 @@ SensingResult RfPrism::finish_round(PreparedRound& prep,
                                     const PositionSolve& pos,
                                     SolveWorkspace& ws) const {
   // Work on prep.result in place: if the orientation solve throws, the
-  // caller still holds the fitted/gated result to reject, exactly like
-  // the monolithic path did.
+  // caller still holds the fitted/gated result to reject.
   SensingResult& result = prep.result;
   const std::vector<AntennaLine>& solve_lines = prep.solve_lines;
   const OrientationSolve orient = solve_orientation(
@@ -402,25 +421,6 @@ SensingResult RfPrism::finish_round(PreparedRound& prep,
                      ? SensingGrade::kDegraded
                      : SensingGrade::kFull;
   return std::move(prep.result);
-}
-
-SensingResult RfPrism::sense_with(const RoundTrace& round,
-                                  const std::string& tag_id,
-                                  const AntennaHealthMonitor* health,
-                                  SolveWorkspace& ws, ThreadPool* pool,
-                                  GridGeometryCache* cache,
-                                  const Vec3* warm_hint,
-                                  const DriftCorrections* drift) const {
-  PreparedRound prep = prepare_round(round, health, drift);
-  if (prep.rejected) return std::move(prep.result);
-  try {
-    const PositionSolve pos =
-        solve_position(config_.geometry, prep.solve_lines, config_.disentangle,
-                       ws, pool, cache, warm_hint);
-    return finish_round(prep, tag_id, pos, ws);
-  } catch (const Error&) {
-    return reject(prep.result, RejectReason::kSolverFailure);
-  }
 }
 
 }  // namespace rfp

@@ -25,10 +25,6 @@ StreamingSensor::StreamingSensor(const RfPrism& prism, StreamingConfig config,
   if (config_.enable_health_monitor) {
     health_.emplace(prism_->config().geometry.n_antennas(), config_.health);
   }
-  if (prism_->config().disentangle.drift.enable) {
-    drift_.emplace(prism_->config().geometry.n_antennas(),
-                   prism_->config().disentangle.drift);
-  }
 }
 
 void StreamingSensor::evict_stalest_tag() {
@@ -267,38 +263,36 @@ std::vector<StreamedResult> StreamingSensor::poll_at(double now_s) {
   }
 
   // ---- Phase 2: sense + account -----------------------------------------
+  // All completing tags of this poll in one call, each against the
+  // port-health and drift state from the start of the poll. Per-round
+  // results are bit-identical for any thread count, engine or none.
   const AntennaHealthMonitor* monitor = health_ ? &*health_ : nullptr;
-  // One drift-correction snapshot for the whole poll: every round sensed
-  // this poll sees the estimator state from the poll's start (same
-  // snapshot discipline as the health monitor — order-free, so the batch
-  // path stays bit-identical to the sequential path).
-  const DriftCorrections drift_snapshot =
-      drift_ ? drift_->corrections() : DriftCorrections{};
-  const DriftCorrections* drift_corr = drift_ ? &drift_snapshot : nullptr;
+  std::vector<SensingResult> sensed;
+  try {
+    sensed = prism_->sense_batch(rounds, ids, engine_, monitor, hints);
+  } catch (const Error&) {
+    // A structurally unsolvable assembly (cannot normally happen — push
+    // validates geometry) fails the whole call: redo it round by round so
+    // the healthy tags still emit, and account the culprit as a solver
+    // failure rather than poisoning poll.
+    sensed.assign(rounds.size(), SensingResult{});
+    for (std::size_t i = 0; i < rounds.size(); ++i) {
+      try {
+        using Hints = std::span<const std::optional<Vec3>>;
+        sensed[i] = std::move(prism_->sense_batch(
+            {&rounds[i], 1}, {&ids[i], 1}, engine_, monitor,
+            hints.empty() ? Hints{} : Hints(&hints[i], 1))[0]);
+      } catch (const Error&) {
+      }
+    }
+  }
   std::vector<StreamedResult> out;
   out.reserve(ids.size());
-
-  const auto sense_one = [&](std::size_t i) -> SensingResult {
-    try {
-      if (!hints.empty() && hints[i].has_value()) {
-        return prism_->sense_warm(rounds[i], ids[i], *hints[i], monitor,
-                                  /*engine=*/nullptr, drift_corr);
-      }
-      return prism_->sense(rounds[i], ids[i], monitor, drift_corr);
-    } catch (const Error&) {
-      // Structurally unsolvable assembly (cannot normally happen — push
-      // validates geometry); account for it rather than poisoning poll.
-      SensingResult result;
-      result.reject_reason = RejectReason::kSolverFailure;
-      return result;
-    }
-  };
-
-  const auto account = [&](std::size_t i, SensingResult result) {
+  for (std::size_t i = 0; i < sensed.size(); ++i) {
     StreamedResult emitted;
     emitted.tag_id = std::move(ids[i]);
     emitted.completed_at_s = completed_at[i];
-    emitted.result = std::move(result);
+    emitted.result = std::move(sensed[i]);
     if (config_.enable_warm_start && emitted.result.valid) {
       Tracker& track = tracks_[emitted.tag_id];
       // Guard the tracker's monotonic-time contract against out-of-order
@@ -338,35 +332,8 @@ std::vector<StreamedResult> StreamingSensor::poll_at(double now_s) {
     if (health_) {
       health_->observe_round(emitted.result, config_.min_channels_per_antenna);
     }
-    if (drift_) {
-      drift_->observe(emitted.result, prism_->config().geometry);
-    }
+    prism_->observe_drift(emitted.result);
     out.push_back(std::move(emitted));
-  };
-
-  bool batched = false;
-  if (engine_ != nullptr && !rounds.empty()) {
-    // All completing tags of this poll solved as one batch across the
-    // engine's pool, each against the port-health snapshot taken at the
-    // start of the poll. Per-round results are bit-identical to the
-    // sequential path for any thread count.
-    try {
-      std::vector<SensingResult> sensed =
-          prism_->sense_batch(rounds, ids, *engine_, monitor, hints,
-                              drift_corr);
-      for (std::size_t i = 0; i < sensed.size(); ++i) {
-        account(i, std::move(sensed[i]));
-      }
-      batched = true;
-    } catch (const Error&) {
-      // A structurally unsolvable round poisons batch granularity (cannot
-      // normally happen — push validates geometry): redo per-tag so the
-      // healthy tags still emit.
-      out.clear();
-    }
-  }
-  if (!batched) {
-    for (std::size_t i = 0; i < rounds.size(); ++i) account(i, sense_one(i));
   }
 
   // ---- Track maintenance: same bounds discipline as pending_ ----------
@@ -425,7 +392,6 @@ void StreamingSensor::clear() {
   stats_ = {};
   high_water_s_ = 0.0;
   if (health_) health_->reset();
-  if (drift_) drift_->reset();
 }
 
 std::vector<TagRead> round_to_reads(const RoundTrace& round,

@@ -29,9 +29,9 @@
 /// self-pipe.
 ///
 /// Tenancy: a DeploymentRegistry resolves each session's shipped
-/// deployment (wire v2 kSessionSetup) to a per-tenant RfPrism + drift
-/// estimator; the engine's thread pool, workspaces, and
-/// GridGeometryCache are shared across every tenant. A connection starts
+/// deployment (wire v2 kSessionSetup) to a per-tenant RfPrism, which owns
+/// the deployment's drift estimate; the engine's thread pool, workspaces,
+/// and GridGeometryCache are shared across every tenant. A connection starts
 /// bound to the *default* tenant (the prism the server was built with),
 /// so v2 clients that never set up a session get the pre-tenancy
 /// behaviour unchanged. Streaming sessions (kStreamPush) run a
@@ -188,9 +188,9 @@ struct ServerStats {
   std::uint64_t bytes_coalesced = 0;   ///< bytes copied by that packing
   std::uint64_t writev_calls = 0;      ///< scatter-gather drains issued
 
-  // -- Drift self-calibration (filled from the engine's estimator when
-  //    SensingEngine::enable_drift was called; all-zero otherwise — the
-  //    per-tenant estimators report through tenant_stats()) --------------
+  // -- Drift self-calibration: the default deployment's estimate, fed by
+  //    its senses and streams alike (all-zero unless the default prism
+  //    enables drift; session tenants report through tenant_stats()) -----
   std::uint64_t drift_rounds_observed = 0;
   std::uint64_t drift_outliers_rejected = 0;
   std::uint64_t drift_alarms_raised = 0;   ///< re-survey alarm edges

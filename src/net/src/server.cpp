@@ -643,9 +643,7 @@ class Server::Reactor {
       ready.digest = conn.tenant->digest();
       ready.n_antennas = static_cast<std::uint32_t>(
           conn.tenant->prism().config().geometry.n_antennas());
-      ready.drift_enabled = conn.tenant->is_default()
-                                ? server_.engine_.drift_enabled()
-                                : conn.tenant->drift_enabled();
+      ready.drift_enabled = conn.tenant->prism().drift_enabled();
       ready.tracking_enabled = conn.tracking;
       PooledBuffer buf = pool_.acquire();
       ByteWriter w(buf.storage());
@@ -783,24 +781,12 @@ class Server::Reactor {
         // server was built with only speaks for the default deployment.
         const AntennaHealthMonitor* health =
             tenant->is_default() ? server_.health_ : nullptr;
-        SensingResult result;
-        if (tenant->is_default() && engine().drift_enabled()) {
-          // Snapshot corrections before the solve, feed the result back
-          // after: the engine owns the default deployment's estimator
-          // (rfpd --drift predates tenancy), so every connection's
-          // rounds advance one shared drift estimate.
-          const DriftCorrections corrections = engine().drift_corrections();
-          result = prism.sense(round, engine(), tag_id, health, &corrections);
-          engine().observe_drift(result, prism.config().geometry);
-        } else if (tenant->drift_enabled()) {
-          // Session tenants own their estimator: same snapshot-then-
-          // observe contract, scoped to the tenant.
-          const DriftCorrections corrections = tenant->drift_corrections();
-          result = prism.sense(round, engine(), tag_id, health, &corrections);
-          tenant->observe_drift(result);
-        } else {
-          result = prism.sense(round, engine(), tag_id, health);
-        }
+        const SensingResult result =
+            prism.sense(round, engine(), tag_id, health);
+        // The tenant's prism owns the deployment's drift estimate (a no-op
+        // without drift): every connection's senses and streams of this
+        // deployment advance the same one.
+        prism.observe_drift(result);
         ByteWriter w(bytes.storage());
         const std::size_t f = begin_frame(w, FrameType::kSenseResponse, seq);
         encode_sense_response_into(w, result);
@@ -1043,8 +1029,8 @@ void Server::request_stop() noexcept {
 ServerStats Server::stats() const {
   ServerStats out;
   for (const auto& reactor : reactors_) reactor->add_to(out);
-  if (engine_.drift_enabled()) {
-    const DriftStats drift = engine_.drift_stats();
+  if (prism_.drift_enabled()) {
+    const DriftStats drift = prism_.drift_stats();
     out.drift_rounds_observed = drift.rounds_observed;
     out.drift_outliers_rejected = drift.outliers_rejected;
     out.drift_alarms_raised = drift.alarms_raised;

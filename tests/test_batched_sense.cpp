@@ -175,7 +175,8 @@ TEST(BatchedSense, DegenerateGridFailsEveryRoundLikeSense) {
 
 TEST(BatchedSense, WarmHintMixMatchesPerRoundWarmSense) {
   // Some rounds hinted (well and badly), some cold, in one batch: each
-  // result must equal the per-round sense_warm/sense outcome exactly.
+  // result must equal the per-round outcome (a hinted batch of one, or
+  // sense) exactly.
   TestbedConfig config;
   config.n_antennas = 4;
   Testbed bed(config);
@@ -200,8 +201,9 @@ TEST(BatchedSense, WarmHintMixMatchesPerRoundWarmSense) {
   std::vector<SensingResult> reference;
   for (std::size_t k = 0; k < corpus.size(); ++k) {
     if (hints[k].has_value()) {
-      reference.push_back(
-          prism.sense_warm(corpus[k], bed.tag_id(), *hints[k]));
+      reference.push_back(prism.sense_batch({&corpus[k], 1}, {&tag_ids[k], 1},
+                                            nullptr, nullptr,
+                                            {&hints[k], 1})[0]);
     } else {
       reference.push_back(prism.sense(corpus[k], bed.tag_id()));
     }
@@ -209,7 +211,7 @@ TEST(BatchedSense, WarmHintMixMatchesPerRoundWarmSense) {
   for (std::size_t threads : {1u, 4u}) {
     SensingEngine engine(threads);
     const auto batch =
-        prism.sense_batch(corpus, tag_ids, engine, nullptr, hints);
+        prism.sense_batch(corpus, tag_ids, &engine, nullptr, hints);
     for (std::size_t k = 0; k < corpus.size(); ++k) {
       expect_identical(batch[k], reference[k],
                        "threads=" + std::to_string(threads) + " round " +
@@ -231,7 +233,7 @@ TEST(BatchedSense, PerRoundTagIdsApplyCalibrationsIndividually) {
     tag_ids.push_back(k % 2 == 0 ? bed.tag_id() : "uncalibrated-tag");
   }
   SensingEngine engine(2);
-  const auto batch = prism.sense_batch(corpus, tag_ids, engine);
+  const auto batch = prism.sense_batch(corpus, tag_ids, &engine);
   for (std::size_t k = 0; k < corpus.size(); ++k) {
     expect_identical(batch[k], prism.sense(corpus[k], tag_ids[k]),
                      "round " + std::to_string(k));

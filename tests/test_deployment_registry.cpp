@@ -182,16 +182,16 @@ TEST(DeploymentRegistry, PerTenantDriftIsIndependent) {
   const auto tenant = registry.acquire(b.prism().config().geometry,
                                        b.prism().calibrations(),
                                        /*enable_drift=*/true);
-  EXPECT_FALSE(def->drift_enabled());
-  EXPECT_TRUE(tenant->drift_enabled());
-  EXPECT_FALSE(tenant->drift_corrections().active);  // not warmed up
+  EXPECT_FALSE(def->prism().drift_enabled());
+  EXPECT_TRUE(tenant->prism().drift_enabled());
+  EXPECT_FALSE(tenant->prism().drift_corrections().active);  // not warmed up
 
   // A later session of the same deployment must not reset drift state.
   const auto again = registry.acquire(b.prism().config().geometry,
                                       b.prism().calibrations(),
                                       /*enable_drift=*/false);
   EXPECT_EQ(again.get(), tenant.get());
-  EXPECT_TRUE(again->drift_enabled());
+  EXPECT_TRUE(again->prism().drift_enabled());
 }
 
 TEST(DeploymentRegistry, StatsSnapshotPutsDefaultFirst) {

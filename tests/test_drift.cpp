@@ -87,8 +87,8 @@ class DriftTest : public ::testing::Test {
   }
 
   /// Closed loop over `n_rounds` rounds of a *wandering* tag: optionally
-  /// inject drift faults, optionally run the estimator. With the
-  /// estimator in the loop, each round also reads the survey's reference
+  /// inject drift faults. When `prism` enables drift its own estimator
+  /// runs in the loop, and each round also reads the survey's reference
   /// transponder (same deployment instant — same drift state, fresh noise
   /// realization) and observes its residuals against the known
   /// ReferencePose. That is what makes the loop converge: residuals
@@ -103,7 +103,6 @@ class DriftTest : public ::testing::Test {
   /// silently dropping out.
   std::vector<double> run_loop(const RfPrism& prism,
                                const FaultInjector* injector,
-                               DriftEstimator* estimator,
                                std::size_t n_rounds,
                                std::uint64_t trial0 = 0) const {
     std::vector<double> errors;
@@ -117,25 +116,29 @@ class DriftTest : public ::testing::Test {
           bed_->tag_state(p, rng.uniform(0.0, kPi), "glass");
       RoundTrace round = bed_->collect(state, trial);
       if (injector != nullptr) round = injector->apply(round, trial);
-      DriftCorrections snapshot;
-      if (estimator != nullptr) snapshot = estimator->corrections();
-      const SensingResult result =
-          prism.sense(round, bed_->tag_id(), nullptr,
-                      estimator != nullptr ? &snapshot : nullptr);
-      if (estimator != nullptr) {
+      const SensingResult result = prism.sense(round, bed_->tag_id());
+      if (prism.drift_enabled()) {
         RoundTrace ref_round = bed_->collect(ref_state, 100000 + trial);
         if (injector != nullptr) {
           ref_round = injector->apply(ref_round, trial);
         }
         const SensingResult ref_result =
-            prism.sense(ref_round, bed_->tag_id(), nullptr, &snapshot);
-        estimator->observe(ref_result, prism.config().geometry, &ref);
+            prism.sense(ref_round, bed_->tag_id());
+        prism.observe_drift(ref_result, &ref);
       }
       errors.push_back(result.valid
                            ? distance(result.position, state.position)
                            : 1.0);
     }
     return errors;
+  }
+
+  /// Copy of the prism's per-port drift state, read under its lock.
+  static std::vector<AntennaDriftState> drift_state(const RfPrism& prism) {
+    std::vector<AntennaDriftState> state;
+    prism.with_drift(
+        [&](DriftEstimator& estimator) { state = estimator.state(); });
+    return state;
   }
 
   RfPrism drift_enabled_variant(DriftConfig config = {}) const {
@@ -239,12 +242,11 @@ TEST_F(DriftTest, EstimatorValidatesConfig) {
 TEST_F(DriftTest, EstimatorConvergesToDifferentialLinearDrift) {
   const FaultInjector injector(linear_drift_profile());
   const RfPrism prism = drift_enabled_variant();
-  DriftEstimator estimator(4, prism.config().disentangle.drift);
 
   constexpr std::size_t kRounds = 48;
-  run_loop(prism, &injector, &estimator, kRounds);
-  EXPECT_GE(estimator.stats().rounds_observed, kRounds / 2);
-  EXPECT_TRUE(estimator.stats().warmed_up);
+  run_loop(prism, &injector, kRounds);
+  EXPECT_GE(prism.drift_stats().rounds_observed, kRounds / 2);
+  EXPECT_TRUE(prism.drift_stats().warmed_up);
 
   // The estimator can only see the zero-common-mode part of the injected
   // drift (the solver absorbs the mean into kt/bt), so compare against
@@ -264,29 +266,26 @@ TEST_F(DriftTest, EstimatorConvergesToDifferentialLinearDrift) {
   }
   ASSERT_GT(dk_span, 2e-9);  // the scenario actually drifts
   ASSERT_GT(db_span, 0.05);
+  const std::vector<AntennaDriftState> state = drift_state(prism);
+  ASSERT_EQ(state.size(), 4u);
   for (std::size_t a = 0; a < 4; ++a) {
-    EXPECT_NEAR(estimator.state()[a].slope, dk[a] - dk_mean,
-                0.35 * dk_span + 5e-10)
+    EXPECT_NEAR(state[a].slope, dk[a] - dk_mean, 0.35 * dk_span + 5e-10)
         << "antenna " << a;
-    EXPECT_NEAR(estimator.state()[a].intercept, db[a] - db_mean,
-                0.35 * db_span + 0.02)
+    EXPECT_NEAR(state[a].intercept, db[a] - db_mean, 0.35 * db_span + 0.02)
         << "antenna " << a;
   }
 }
 
 TEST_F(DriftTest, CorrectionHoldsErrorNearBaselineUnderLinearDrift) {
   const FaultInjector injector(linear_drift_profile());
-  const RfPrism plain = bed_->prism();
+  const RfPrism& plain = bed_->prism();
   const RfPrism corrected = drift_enabled_variant();
-  DriftEstimator estimator(4, corrected.config().disentangle.drift);
 
   constexpr std::size_t kRounds = 48;
-  const std::vector<double> baseline =
-      run_loop(plain, nullptr, nullptr, kRounds);
-  const std::vector<double> uncorrected =
-      run_loop(plain, &injector, nullptr, kRounds);
+  const std::vector<double> baseline = run_loop(plain, nullptr, kRounds);
+  const std::vector<double> uncorrected = run_loop(plain, &injector, kRounds);
   const std::vector<double> with_drift =
-      run_loop(corrected, &injector, &estimator, kRounds);
+      run_loop(corrected, &injector, kRounds);
 
   // Judge the steady state: the last third, where the drift is largest
   // and the estimator is long past warm-up.
@@ -312,21 +311,18 @@ TEST_F(DriftTest, CorrectionTracksRandomWalkDrift) {
   profile.slope_drift_walk = 8e-10;
   profile.intercept_drift_walk = 0.018;
   const FaultInjector injector(profile);
-  const RfPrism plain = bed_->prism();
+  const RfPrism& plain = bed_->prism();
   // A walk's innovation is itself a walk step, so smoothing hard only adds
   // lag: track it with a snappier EMA than the ramp default.
   DriftConfig drift;
   drift.ema_alpha = 0.4;
   const RfPrism corrected = drift_enabled_variant(drift);
-  DriftEstimator estimator(4, corrected.config().disentangle.drift);
 
   constexpr std::size_t kRounds = 96;
-  const std::vector<double> baseline =
-      run_loop(plain, nullptr, nullptr, kRounds);
-  const std::vector<double> uncorrected =
-      run_loop(plain, &injector, nullptr, kRounds);
+  const std::vector<double> baseline = run_loop(plain, nullptr, kRounds);
+  const std::vector<double> uncorrected = run_loop(plain, &injector, kRounds);
   const std::vector<double> with_drift =
-      run_loop(corrected, &injector, &estimator, kRounds);
+      run_loop(corrected, &injector, kRounds);
 
   const std::size_t tail = kRounds / 2;
   const auto tail_median = [&](const std::vector<double>& e) {
@@ -436,16 +432,17 @@ TEST_F(DriftTest, AlarmLatchesOnDriftedPortAndNeverOnCleanCorpus) {
   EXPECT_EQ(estimator.stats().alarms_active, 1u);
 
   // A drift-free corpus (real rounds, honest noise) never alarms.
-  const RfPrism prism = drift_enabled_variant();
-  DriftEstimator clean(4, prism.config().disentangle.drift);
-  run_loop(prism, nullptr, &clean, 40);
-  EXPECT_GE(clean.stats().rounds_observed, 30u);
-  EXPECT_TRUE(clean.alarms().empty());
-  EXPECT_EQ(clean.stats().alarms_raised, 0u);
+  const RfPrism clean = drift_enabled_variant();
+  run_loop(clean, nullptr, 40);
+  EXPECT_GE(clean.drift_stats().rounds_observed, 30u);
+  EXPECT_TRUE(clean.drift_alarms().empty());
+  EXPECT_EQ(clean.drift_stats().alarms_raised, 0u);
   // And its corrections stay tiny — it is not "correcting" noise into
   // a bias anywhere near the alarm scale.
+  const std::vector<AntennaDriftState> state = drift_state(clean);
+  ASSERT_EQ(state.size(), 4u);
   for (std::size_t a = 0; a < 4; ++a) {
-    EXPECT_LT(std::abs(clean.state()[a].slope), 2e-9) << "antenna " << a;
+    EXPECT_LT(std::abs(state[a].slope), 2e-9) << "antenna " << a;
   }
 }
 
@@ -454,16 +451,20 @@ TEST_F(DriftTest, AlarmLatchesOnDriftedPortAndNeverOnCleanCorpus) {
 
 TEST_F(DriftTest, DroppedPortFallsIntoDegradedSubsetSolve) {
   const RfPrism prism = drift_enabled_variant();
-  DriftCorrections corrections;
-  corrections.active = true;
-  corrections.slope.assign(4, 0.0);
-  corrections.intercept.assign(4, 0.0);
-  corrections.drop.assign(4, false);
-  corrections.drop[2] = true;
+  // A warmed-up estimate whose only correction is port 2's slope, beyond
+  // the correctable bound: the snapshot drops port 2 and corrects nothing.
+  prism.with_drift([](DriftEstimator& estimator) {
+    std::vector<AntennaDriftState> state(4);
+    state[2].slope = 2.0 * estimator.config().max_correct_slope;
+    state[2].updates = estimator.config().warmup_rounds;
+    estimator.restore(state, estimator.config().warmup_rounds);
+  });
+  const DriftCorrections corrections = prism.drift_corrections();
+  ASSERT_TRUE(corrections.active);
+  EXPECT_EQ(corrections.drop, (std::vector<bool>{false, false, true, false}));
 
   const RoundTrace round = bed_->collect(state_, 7);
-  const SensingResult result =
-      prism.sense(round, bed_->tag_id(), nullptr, &corrections);
+  const SensingResult result = prism.sense(round, bed_->tag_id());
   ASSERT_TRUE(result.valid);
   EXPECT_EQ(result.grade, SensingGrade::kDegraded);
   EXPECT_EQ(result.excluded_antennas, std::vector<std::size_t>{2});
@@ -487,39 +488,33 @@ TEST_F(DriftTest, DriftOffIsByteIdenticalAcrossThreadsAndKernels) {
   }
 
   const RfPrism& plain = bed_->prism();
+  ASSERT_FALSE(plain.drift_enabled());
+  // Cold estimator: never observed, corrections inactive.
   const RfPrism enabled = drift_enabled_variant();
-  // Cold estimator: corrections exist but are inactive until warm-up.
-  const DriftEstimator cold(4, enabled.config().disentangle.drift);
-  const DriftCorrections inactive = cold.corrections();
-  ASSERT_FALSE(inactive.active);
-
-  // Forged *active* corrections against a config with drift disabled:
-  // the config master switch wins.
-  DriftCorrections forged;
-  forged.active = true;
-  forged.slope.assign(4, 1e-8);
-  forged.intercept.assign(4, 0.3);
-  forged.drop.assign(4, false);
+  ASSERT_FALSE(enabled.drift_corrections().active);
+  // Warming estimator: real (non-zero) state from drifted rounds, but
+  // fewer rounds than the warm-up, so corrections are still inactive.
+  const RfPrism warming = drift_enabled_variant();
+  const FaultInjector drift_injector(linear_drift_profile());
+  run_loop(warming, &drift_injector,
+           warming.config().disentangle.drift.warmup_rounds - 1, 40);
+  ASSERT_GT(warming.drift_stats().rounds_observed, 0u);
+  ASSERT_FALSE(warming.drift_corrections().active);
 
   for (std::size_t k = 0; k < corpus.size(); ++k) {
     const SensingResult reference = plain.sense(corpus[k], bed_->tag_id());
     expect_identical(enabled.sense(corpus[k], bed_->tag_id()), reference,
-                     "null snapshot, round " + std::to_string(k));
-    expect_identical(
-        enabled.sense(corpus[k], bed_->tag_id(), nullptr, &inactive),
-        reference, "inactive snapshot, round " + std::to_string(k));
-    expect_identical(plain.sense(corpus[k], bed_->tag_id(), nullptr, &forged),
-                     reference,
-                     "config off beats active snapshot, round " +
-                         std::to_string(k));
+                     "cold estimator, round " + std::to_string(k));
+    expect_identical(warming.sense(corpus[k], bed_->tag_id()), reference,
+                     "warming estimator, round " + std::to_string(k));
   }
 
   // Engine paths, threads 1/2/8: drift-enabled config with an inactive
-  // snapshot stays identical to the sequential drift-free reference.
+  // estimate stays identical to the sequential drift-free reference.
   for (const std::size_t threads : {1u, 2u, 8u}) {
     SensingEngine engine(threads);
-    const std::vector<SensingResult> batch = enabled.sense_batch(
-        corpus, engine, bed_->tag_id(), nullptr, &inactive);
+    const std::vector<SensingResult> batch =
+        enabled.sense_batch(corpus, engine, bed_->tag_id());
     ASSERT_EQ(batch.size(), corpus.size());
     for (std::size_t k = 0; k < corpus.size(); ++k) {
       expect_identical(batch[k], plain.sense(corpus[k], bed_->tag_id()),
@@ -532,16 +527,14 @@ TEST_F(DriftTest, DriftOffIsByteIdenticalAcrossThreadsAndKernels) {
 }
 
 TEST_F(DriftTest, ActiveCorrectionsAreDeterministicAcrossEnginePaths) {
-  // Warm an estimator on drifted rounds, then check the drift-ON solve
-  // itself is bit-identical between the sequential and batch paths for
-  // any thread count (the same one-snapshot-per-batch discipline the
-  // server and StreamingSensor use).
+  // Warm the prism's own estimator on drifted rounds, then check the
+  // drift-ON solve itself is bit-identical between the sequential and
+  // batch paths for any thread count (one snapshot per call, and nothing
+  // observes in between).
   const FaultInjector injector(linear_drift_profile());
   const RfPrism prism = drift_enabled_variant();
-  DriftEstimator estimator(4, prism.config().disentangle.drift);
-  run_loop(prism, &injector, &estimator, 24);
-  const DriftCorrections snapshot = estimator.corrections();
-  ASSERT_TRUE(snapshot.active);
+  run_loop(prism, &injector, 24);
+  ASSERT_TRUE(prism.drift_corrections().active);
 
   std::vector<RoundTrace> corpus;
   for (std::size_t k = 0; k < 6; ++k) {
@@ -549,13 +542,12 @@ TEST_F(DriftTest, ActiveCorrectionsAreDeterministicAcrossEnginePaths) {
   }
   std::vector<SensingResult> reference;
   for (const RoundTrace& round : corpus) {
-    reference.push_back(
-        prism.sense(round, bed_->tag_id(), nullptr, &snapshot));
+    reference.push_back(prism.sense(round, bed_->tag_id()));
   }
   for (const std::size_t threads : {1u, 2u, 8u}) {
     SensingEngine engine(threads);
-    const std::vector<SensingResult> batch = prism.sense_batch(
-        corpus, engine, bed_->tag_id(), nullptr, &snapshot);
+    const std::vector<SensingResult> batch =
+        prism.sense_batch(corpus, engine, bed_->tag_id());
     for (std::size_t k = 0; k < corpus.size(); ++k) {
       expect_identical(batch[k], reference[k],
                        "threads " + std::to_string(threads) + ", round " +
@@ -565,30 +557,28 @@ TEST_F(DriftTest, ActiveCorrectionsAreDeterministicAcrossEnginePaths) {
 }
 
 // ---------------------------------------------------------------------------
-// Owners: SensingEngine + StreamingSensor
+// Owner: the deployment's RfPrism, fed by engine senses and StreamingSensor
 
-TEST_F(DriftTest, EngineOwnsASharedEstimator) {
+TEST_F(DriftTest, PrismOwnsASharedEstimator) {
+  const RfPrism& plain = bed_->prism();
+  EXPECT_FALSE(plain.drift_enabled());
+  EXPECT_FALSE(plain.drift_corrections().active);
+
   const RfPrism prism = drift_enabled_variant();
+  ASSERT_TRUE(prism.drift_enabled());
+
   SensingEngine engine(2);
-  EXPECT_FALSE(engine.drift_enabled());
-  EXPECT_FALSE(engine.drift_corrections().active);
-
-  engine.enable_drift(4, prism.config().disentangle.drift);
-  ASSERT_TRUE(engine.drift_enabled());
-
   const FaultInjector injector(linear_drift_profile());
   for (std::size_t k = 0; k < 24; ++k) {
     const RoundTrace round =
         injector.apply(bed_->collect(state_, k), k);
-    const DriftCorrections snapshot = engine.drift_corrections();
-    const SensingResult result =
-        prism.sense(round, engine, bed_->tag_id(), nullptr, &snapshot);
-    engine.observe_drift(result, prism.config().geometry);
+    const SensingResult result = prism.sense(round, engine, bed_->tag_id());
+    prism.observe_drift(result);
   }
-  EXPECT_GE(engine.drift_stats().rounds_observed, 12u);
-  EXPECT_TRUE(engine.drift_corrections().active);
+  EXPECT_GE(prism.drift_stats().rounds_observed, 12u);
+  EXPECT_TRUE(prism.drift_corrections().active);
   bool any_correction = false;
-  engine.with_drift([&](DriftEstimator& estimator) {
+  prism.with_drift([&](DriftEstimator& estimator) {
     for (const AntennaDriftState& st : estimator.state()) {
       if (std::abs(st.slope) > 1e-9) any_correction = true;
     }
@@ -601,7 +591,7 @@ TEST_F(DriftTest, StreamingSensorRunsTheLoopAutomatically) {
   config.disentangle.drift.enable = true;
   const RfPrism prism = bed_->make_pipeline_variant(std::move(config));
   StreamingSensor sensor(prism);
-  ASSERT_NE(sensor.drift(), nullptr);
+  ASSERT_TRUE(prism.drift_enabled());
 
   const FaultInjector injector(linear_drift_profile());
   std::size_t emitted_total = 0;
@@ -611,16 +601,21 @@ TEST_F(DriftTest, StreamingSensorRunsTheLoopAutomatically) {
     emitted_total += sensor.poll().size();
   }
   EXPECT_GT(emitted_total, 0u);
-  EXPECT_GE(sensor.drift_stats().rounds_observed, 12u);
-  EXPECT_TRUE(sensor.drift()->corrections().active);
+  const std::uint64_t observed = prism.drift_stats().rounds_observed;
+  EXPECT_GE(observed, 12u);
+  EXPECT_TRUE(prism.drift_corrections().active);
 
+  // The estimate is the deployment's: clearing one sensor's stream state
+  // leaves it alone.
   sensor.clear();
-  EXPECT_EQ(sensor.drift_stats().rounds_observed, 0u);
+  EXPECT_EQ(prism.drift_stats().rounds_observed, observed);
 
-  // A sensor over a drift-disabled pipeline owns no estimator at all.
+  // A sensor over a drift-disabled pipeline feeds no estimator at all.
   StreamingSensor plain_sensor(bed_->prism());
-  EXPECT_EQ(plain_sensor.drift(), nullptr);
-  EXPECT_EQ(plain_sensor.drift_stats().rounds_observed, 0u);
+  plain_sensor.push(round_to_reads(bed_->collect(state_, 0), bed_->tag_id()));
+  EXPECT_FALSE(plain_sensor.poll().empty());
+  EXPECT_FALSE(bed_->prism().drift_enabled());
+  EXPECT_EQ(bed_->prism().drift_stats().rounds_observed, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ TEST(SensingEngine, BatchPerRoundTagIds) {
   const std::vector<std::string> ids = {bed.tag_id(), "", bed.tag_id()};
   SensingEngine engine(2);
   const std::vector<SensingResult> batch =
-      bed.prism().sense_batch(corpus, ids, engine);
+      bed.prism().sense_batch(corpus, ids, &engine);
   ASSERT_EQ(batch.size(), corpus.size());
   for (std::size_t k = 0; k < batch.size(); ++k) {
     const SensingResult sequential = bed.prism().sense(corpus[k], ids[k]);
@@ -225,7 +225,7 @@ TEST(SensingEngine, BatchRejectsMismatchedTagIds) {
   const std::vector<RoundTrace> corpus = make_corpus(bed, 2, 0);
   const std::vector<std::string> ids = {bed.tag_id()};  // 1 id, 2 rounds
   SensingEngine engine(2);
-  EXPECT_THROW((void)bed.prism().sense_batch(corpus, ids, engine),
+  EXPECT_THROW((void)bed.prism().sense_batch(corpus, ids, &engine),
                InvalidArgument);
 }
 

@@ -7,6 +7,7 @@
 /// exhaustion over the wire, per-tenant drift, and a session
 /// setup/teardown fuzz loop for the sanitizer jobs.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -469,8 +470,59 @@ TEST(MultiTenant, DriftEnabledSessionReportsPerTenantDrift) {
     EXPECT_EQ(tenant.drift.rounds_observed, kRounds);
   }
   EXPECT_TRUE(found);
-  // The engine's deployment-level estimator stays untouched.
+  // The default deployment's estimate (drift off there) stays untouched.
   EXPECT_EQ(server.stats().drift_rounds_observed, 0u);
+}
+
+TEST(MultiTenant, StreamingSessionFeedsItsTenantsDriftEstimate) {
+  // A drift session's streamed rounds and its senses feed one estimate,
+  // the tenant prism's, which outlives the session's StreamingSensor.
+  const Testbed& bed_a = default_bed();
+  SensingEngine engine(2);
+  Server server(bed_a.prism(), engine);
+  server.start();
+
+  Client client(client_config(server.port()));
+  const SessionReady ready = client.setup_session(
+      bed_b().prism().config().geometry, bed_b().prism().calibrations(),
+      /*enable_drift=*/true);
+  ASSERT_TRUE(ready.drift_enabled);
+
+  const TagState state = bed_b().tag_state({0.8, 1.2}, 0.5, "glass");
+  constexpr std::size_t kStreamed = 6;
+  constexpr std::size_t kSenses = 3;
+  std::uint64_t streamed_valid = 0;
+  double clock = 0.0;
+  for (std::size_t k = 0; k < kStreamed; ++k) {
+    std::vector<TagRead> reads =
+        round_to_reads(bed_b().collect(state, 9600 + k), bed_b().tag_id());
+    for (TagRead& read : reads) read.time_s += clock;
+    for (const TagRead& read : reads) clock = std::max(clock, read.time_s);
+    clock += 0.5;
+    for (const StreamedResult& emitted : client.push_stream(reads, clock)) {
+      if (emitted.result.valid) ++streamed_valid;
+    }
+  }
+  std::uint64_t sensed_valid = 0;
+  for (std::size_t k = 0; k < kSenses; ++k) {
+    if (client.sense(bed_b().collect(state, 9700 + k), bed_b().tag_id())
+            .valid) {
+      ++sensed_valid;
+    }
+  }
+  EXPECT_EQ(streamed_valid, kStreamed);
+  EXPECT_EQ(sensed_valid, kSenses);
+
+  client.close_session();
+  server.stop();
+  bool found = false;
+  for (const TenantStats& tenant : server.tenant_stats()) {
+    if (tenant.digest != ready.digest) continue;
+    found = true;
+    EXPECT_TRUE(tenant.drift_enabled);
+    EXPECT_EQ(tenant.drift.rounds_observed, streamed_valid + sensed_valid);
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST(MultiTenant, SessionSetupTeardownFuzz) {

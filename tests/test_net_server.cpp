@@ -511,9 +511,6 @@ TEST(NetServer, DriftEnabledServerObservesAndReportsStats) {
   const RfPrism prism = bed.make_pipeline_variant(std::move(prism_config));
 
   SensingEngine engine(2);
-  engine.enable_drift(prism.config().geometry.n_antennas(),
-                      prism.config().disentangle.drift);
-
   Server server(prism, engine);
   server.start();
 
@@ -535,7 +532,60 @@ TEST(NetServer, DriftEnabledServerObservesAndReportsStats) {
   EXPECT_EQ(stats.drift_alarms_raised, 0u);
   EXPECT_EQ(stats.drift_alarms_active, 0u);
   EXPECT_EQ(stats.drift_ports_dropped, 0u);
-  EXPECT_TRUE(engine.drift_corrections().active);  // past warm-up
+  EXPECT_TRUE(prism.drift_corrections().active);  // past warm-up
+}
+
+TEST(NetServer, DriftStreamsAndSensesShareTheDefaultEstimate) {
+  // The rfpd --drift shape: the default prism enables drift, and a stream
+  // session shipping that same deployment binds the default tenant, so
+  // the streamed rounds and the senses feed the one estimate the
+  // ServerStats drift block reports.
+  const Testbed& bed = shared_bed();
+  RfPrismConfig prism_config = bed.prism().config();
+  prism_config.disentangle.drift.enable = true;
+  const RfPrism prism = bed.make_pipeline_variant(std::move(prism_config));
+
+  SensingEngine engine(2);
+  Server server(prism, engine);
+  server.start();
+
+  Client client(client_config(server.port()));
+  const net::SessionReady ready = client.setup_session(
+      prism.config().geometry, prism.calibrations(), /*enable_drift=*/true);
+  EXPECT_TRUE(ready.drift_enabled);
+
+  const TagState state = bed.tag_state({0.8, 1.2}, 0.5, "glass");
+  constexpr std::size_t kRounds = 6;
+  std::size_t streamed = 0;
+  std::uint64_t valid = 0;
+  double clock = 0.0;
+  for (std::size_t k = 0; k < kRounds; ++k) {
+    std::vector<TagRead> reads =
+        round_to_reads(bed.collect(state, 8100 + k), bed.tag_id());
+    for (TagRead& read : reads) read.time_s += clock;
+    for (const TagRead& read : reads) clock = std::max(clock, read.time_s);
+    clock += 0.5;
+    for (const StreamedResult& emitted : client.push_stream(reads, clock)) {
+      ++streamed;
+      if (emitted.result.valid) ++valid;
+    }
+  }
+  EXPECT_EQ(streamed, kRounds);
+  for (std::size_t k = 0; k < kRounds; ++k) {
+    if (client.sense(bed.collect(state, 8200 + k), bed.tag_id()).valid) {
+      ++valid;
+    }
+  }
+  EXPECT_EQ(valid, 2 * kRounds);
+
+  server.stop();
+  EXPECT_EQ(server.stats().drift_rounds_observed, valid);
+  const std::vector<TenantStats> tenants = server.tenant_stats();
+  ASSERT_EQ(tenants.size(), 1u);  // the session bound the default tenant
+  EXPECT_TRUE(tenants[0].is_default);
+  EXPECT_EQ(tenants[0].digest, ready.digest);
+  EXPECT_TRUE(tenants[0].drift_enabled);
+  EXPECT_EQ(tenants[0].drift.rounds_observed, valid);
 }
 
 TEST(NetServer, OlderVersionPeerGetsGoodbyeEncodedAtItsVersion) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -453,8 +454,10 @@ TEST(SolverAccelWarmStart, SenseWarmMatchesColdWithinTolerance) {
   const RoundTrace round = bed.collect(state, 7000);
   const SensingResult cold = bed.prism().sense(round, bed.tag_id());
   ASSERT_TRUE(cold.valid);
-  const SensingResult warm =
-      bed.prism().sense_warm(round, bed.tag_id(), cold.position);
+  const std::string tag_id = bed.tag_id();
+  const std::optional<Vec3> hint = cold.position;
+  const SensingResult warm = bed.prism().sense_batch(
+      {&round, 1}, {&tag_id, 1}, nullptr, nullptr, {&hint, 1})[0];
   ASSERT_TRUE(warm.valid);
   EXPECT_LE(distance(warm.position, cold.position), 2e-3);
 }

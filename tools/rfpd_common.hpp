@@ -71,7 +71,9 @@ inline int run_daemon(const char* name, const DaemonOptions& options) {
   const Testbed bed(bed_config);
 
   // Drift variant (same geometry + calibration; only the drift switch
-  // differs).
+  // differs). The default prism then owns the deployment's drift
+  // estimate, shared by every sessionless request and every session or
+  // stream that ships this same deployment.
   RfPrismConfig prism_config = bed.prism().config();
   prism_config.disentangle.drift.enable = options.drift;
 
@@ -98,10 +100,6 @@ inline int run_daemon(const char* name, const DaemonOptions& options) {
   const RfPrism& prism = *pipeline;
 
   SensingEngine engine(options.threads);
-  if (options.drift) {
-    engine.enable_drift(prism.config().geometry.n_antennas(),
-                        prism.config().disentangle.drift);
-  }
 
   net::ServerConfig server_config;
   server_config.bind_address = options.bind;

@@ -450,8 +450,8 @@ int run_stream(const StreamOptions& options) {
   streaming_config.enable_warm_start = options.warm;
 
   // With --drift the sensing pipeline runs its online self-calibration
-  // loop (the StreamingSensor owns the estimator) against injected
-  // per-antenna LO drift.
+  // loop (the StreamingSensor feeds the prism's estimator) against
+  // injected per-antenna LO drift.
   const RfPrism* prism = &bed.prism();
   std::optional<RfPrism> drift_prism;
   if (options.drift) {
@@ -614,8 +614,8 @@ int run_stream(const StreamOptions& options) {
     }
   }
 
-  if (const DriftEstimator* drift = sensor->drift()) {
-    const DriftStats drift_stats = drift->stats();
+  if (prism->drift_enabled()) {
+    const DriftStats drift_stats = prism->drift_stats();
     std::printf("\ndrift self-calibration\n");
     std::printf("  rounds observed    %llu (skipped %llu)\n",
                 static_cast<unsigned long long>(drift_stats.rounds_observed),
@@ -626,15 +626,17 @@ int run_stream(const StreamOptions& options) {
                     drift_stats.outliers_rejected));
     std::printf("  corrections        %s\n",
                 drift_stats.warmed_up ? "active" : "warming up");
-    for (std::size_t a = 0; a < drift->n_antennas(); ++a) {
-      const AntennaDriftState& st = drift->state()[a];
-      std::printf("  port %zu  slope %+.3e rad/Hz  intercept %+.3f rad  "
-                  "updates %llu%s\n",
-                  a, st.slope, st.intercept,
-                  static_cast<unsigned long long>(st.updates),
-                  st.alarmed ? "  RE-SURVEY" : "");
-    }
-    for (const ReSurveyAlarm& alarm : drift->alarms()) {
+    prism->with_drift([](DriftEstimator& drift) {
+      for (std::size_t a = 0; a < drift.n_antennas(); ++a) {
+        const AntennaDriftState& st = drift.state()[a];
+        std::printf("  port %zu  slope %+.3e rad/Hz  intercept %+.3f rad  "
+                    "updates %llu%s\n",
+                    a, st.slope, st.intercept,
+                    static_cast<unsigned long long>(st.updates),
+                    st.alarmed ? "  RE-SURVEY" : "");
+      }
+    });
+    for (const ReSurveyAlarm& alarm : prism->drift_alarms()) {
       std::printf("  ALARM port %zu: re-survey recommended "
                   "(slope %+.3e rad/Hz, intercept %+.3f rad)\n",
                   alarm.antenna, alarm.slope_drift, alarm.intercept_drift);
