@@ -4,26 +4,15 @@
 /// on synthetic slope lines, cold (full-grid scan) and warm (hint-windowed
 /// scan). A closing JSON block (BENCH_solver.json in CI) makes the sweep
 /// machine-readable for trending.
-///
-/// A second sweep times the Stage-A *ranking* in isolation over the cached
-/// table: the canonical two-pass oracle (rank_canonical) against the
-/// production factored ranking (rank_exhaustive), gating the production
-/// ranking at >= 4x the canonical p50 on the default scene whenever AVX2
-/// dispatch is active. A third sweep times B rankings as B single calls
-/// against one batched call (rank_exhaustive_batch), gating B=16 at
-/// >= kBatch16Gate.
 
 #include <chrono>
-#include <span>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "rfp/core/disentangle.hpp"
 #include "rfp/core/grid_cache.hpp"
 #include "rfp/rfsim/scene.hpp"
-#include "rfp/simd/dispatch.hpp"
 #include "support/bench_util.hpp"
 
 namespace {
@@ -32,13 +21,6 @@ using namespace rfp;
 using namespace rfp::bench;
 
 using Clock = std::chrono::steady_clock;
-
-/// B=16 batched-vs-single gate. A single call is itself a one-request
-/// batch over the same row groups, so the gate checks that the shared
-/// pass keeps its tag tiles (a lost tile reads ~1x), not a fixed speedup:
-/// 30 interleaved --quick runs on a shared 4-vCPU Xeon read 1.17-1.88x
-/// (median 1.76x) under AVX2 dispatch.
-constexpr double kBatch16Gate = 1.1;
 
 DeploymentGeometry scene_geometry(std::size_t n_antennas) {
   SceneConfig config;
@@ -82,12 +64,9 @@ struct Cell {
   std::size_t grid = 0;
   std::size_t antennas = 0;
   std::string mode;
-  std::string kernel;  ///< "canonical" or "production" ranking
-  std::size_t batch = 0;  ///< tags per batch ("batch-rank" rows; else 0)
   double p50_us = 0.0;
   double p99_us = 0.0;
-  double speedup = 0.0;  ///< p50 vs cold (modes) / canonical (rank rows)
-                         ///< / per-tag loop ("batch-rank" rows)
+  double speedup = 0.0;  ///< p50 vs cold
 };
 
 /// Time cold and warm solves over the same workload, interleaved rep by
@@ -129,90 +108,16 @@ double run_modes(const DeploymentGeometry& geometry, const Workload& load,
   return checksum;  // keep the solves observable
 }
 
-/// Time the exhaustive Stage-A *ranking* alone (no LM, no Stage B): one
-/// call per target per rep over a prebuilt table. Both rankings report the
-/// same canonical winner, so this is the apples-to-apples comparison.
-double run_rank(const DeploymentGeometry& geometry, const Workload& load,
-                const GridTable& table, bool canonical, std::size_t reps,
-                std::vector<double>& out_us) {
-  SolveWorkspace ws;
-  const auto rank = [&](std::span<const AntennaLine> lines) {
-    return canonical ? rank_canonical(geometry, lines, table, ws)
-                     : rank_exhaustive(geometry, lines, table, ws);
-  };
-  (void)rank(load.lines[0]);
-
-  out_us.clear();
-  out_us.reserve(reps * load.targets.size());
-  double checksum = 0.0;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    for (std::size_t t = 0; t < load.targets.size(); ++t) {
-      const auto t0 = Clock::now();
-      const StageARank ranked = rank(load.lines[t]);
-      out_us.push_back(
-          1e6 * std::chrono::duration<double>(Clock::now() - t0).count());
-      checksum += ranked.rss + static_cast<double>(ranked.cell);
-    }
-  }
-  return checksum;
-}
-
-/// Time B exhaustive rankings both ways — B single rank_exhaustive calls
-/// (each a one-request batch that streams the whole table) vs one
-/// rank_exhaustive_batch call (tag-major over a shared table pass) — with
-/// the arms interleaved rep by rep so machine-load drift hits both
-/// equally. Per-batch wall time in microseconds.
-double run_rank_batch(const DeploymentGeometry& geometry, const Workload& load,
-                      const GridTable& table, std::size_t batch,
-                      std::size_t reps, std::vector<double>& per_tag_us,
-                      std::vector<double>& batched_us) {
-  SolveWorkspace ws;
-  std::vector<BatchedRankRequest> requests;
-  requests.reserve(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    requests.push_back(BatchedRankRequest{
-        std::span<const AntennaLine>(load.lines[b % load.lines.size()]),
-        nullptr});
-  }
-  std::vector<StageARank> out(batch);
-  rank_exhaustive_batch(geometry, requests, table, ws, out);  // warm
-
-  per_tag_us.clear();
-  batched_us.clear();
-  per_tag_us.reserve(reps);
-  batched_us.reserve(reps);
-  double checksum = 0.0;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    auto t0 = Clock::now();
-    for (std::size_t b = 0; b < batch; ++b) {
-      out[b] = rank_exhaustive(geometry, requests[b].lines, table, ws);
-    }
-    per_tag_us.push_back(
-        1e6 * std::chrono::duration<double>(Clock::now() - t0).count());
-    for (const StageARank& rank : out) {
-      checksum += rank.rss + static_cast<double>(rank.cell);
-    }
-    t0 = Clock::now();
-    rank_exhaustive_batch(geometry, requests, table, ws, out);
-    batched_us.push_back(
-        1e6 * std::chrono::duration<double>(Clock::now() - t0).count());
-    for (const StageARank& rank : out) {
-      checksum += rank.rss + static_cast<double>(rank.cell);
-    }
-  }
-  return checksum;
-}
-
 void print_cell(const Cell& cell) {
-  std::printf("  %-6zu %-9zu %-10s %-12s %-10.1f %-10.1f %.2fx\n", cell.grid,
-              cell.antennas, cell.mode.c_str(), cell.kernel.c_str(),
-              cell.p50_us, cell.p99_us, cell.speedup);
+  std::printf("  %-6zu %-9zu %-10s %-10.1f %-10.1f %.2fx\n", cell.grid,
+              cell.antennas, cell.mode.c_str(), cell.p50_us, cell.p99_us,
+              cell.speedup);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --quick: fewer repetitions (CI smoke; the perf gates still apply).
+  // --quick: fewer repetitions (CI smoke).
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--quick") quick = true;
@@ -225,18 +130,10 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> antenna_counts = {4, 8};
   const std::size_t n_targets = quick ? 8 : 24;
   const std::size_t reps = quick ? 4 : 16;
-  const std::size_t rank_reps = reps * 4;  // ranking alone is much cheaper
-
-  const bool vectorized = simd::active() == simd::Level::kAvx2;
-  std::printf("  simd dispatch: %s (compiled_avx2=%d)\n\n",
-              simd::name(simd::active()), simd::compiled_avx2() ? 1 : 0);
 
   std::vector<Cell> cells;
-  double rank_canonical_p50_default = 0.0;
-  double rank_production_p50_default = 0.0;
-
-  std::printf("  %-6s %-9s %-10s %-12s %-10s %-10s %s\n", "grid", "antennas",
-              "mode", "kernel", "p50[us]", "p99[us]", "speedup");
+  std::printf("  %-6s %-9s %-10s %-10s %-10s %s\n", "grid", "antennas",
+              "mode", "p50[us]", "p99[us]", "speedup");
   for (std::size_t antennas : antenna_counts) {
     const DeploymentGeometry geometry = scene_geometry(antennas);
     Rng rng(mix_seed(antennas, 0x501E));
@@ -256,103 +153,11 @@ int main(int argc, char** argv) {
         cell.grid = grid;
         cell.antennas = antennas;
         cell.mode = warm ? "warm" : "cold";
-        cell.kernel = "production";
         cell.p50_us = percentile(us, 50.0);
         cell.p99_us = percentile(us, 99.0);
         cell.speedup = cell.p50_us > 0.0 ? cold_p50 / cell.p50_us : 0.0;
         cells.push_back(cell);
         print_cell(cell);
-      }
-
-      // ---- Ranking sweep: Stage-A ranking in isolation ------------------
-      GridGeometryCache cache;
-      const auto table = cache.acquire(
-          geometry, GridSpec{grid, grid, 1, 0.0, 0.0});
-      double canonical_p50 = 0.0;
-      for (bool canonical : {true, false}) {
-        std::vector<double> us;
-        run_rank(geometry, load, *table, canonical, rank_reps, us);
-        Cell cell;
-        cell.grid = grid;
-        cell.antennas = antennas;
-        cell.mode = "rank";
-        cell.kernel = canonical ? "canonical" : "production";
-        cell.p50_us = percentile(us, 50.0);
-        cell.p99_us = percentile(us, 99.0);
-        if (canonical) canonical_p50 = cell.p50_us;
-        cell.speedup = cell.p50_us > 0.0 ? canonical_p50 / cell.p50_us : 0.0;
-        if (grid == 41 && antennas == 4 && canonical) {
-          rank_canonical_p50_default = cell.p50_us;
-        } else if (grid == 41 && antennas == 4) {
-          rank_production_p50_default = cell.p50_us;
-        }
-        cells.push_back(cell);
-        print_cell(cell);
-      }
-    }
-  }
-
-  // ---- Batched ranking sweep: B tags over one shared table pass ---------
-  // Gate scene: a table well past L2 (321x321 cells x 8 antennas ~ 6.6 MB,
-  // the dense-survey / 3D-scale regime) where B single calls re-stream the
-  // whole table per tag and the batched pass streams each row group once,
-  // re-ranking the remaining pair tiles from cache.
-  const std::size_t batch_grid = 321, batch_antennas = 8;
-  double batch16_speedup = 0.0;
-  {
-    const DeploymentGeometry geometry = scene_geometry(batch_antennas);
-    Rng rng(mix_seed(batch_antennas, 0xBA7C));
-    Workload load;
-    for (std::size_t t = 0; t < n_targets; ++t) {
-      const Vec3 p{0.3 + 1.4 * rng.uniform(), 0.3 + 1.4 * rng.uniform(), 0.0};
-      load.targets.push_back(p);
-      load.lines.push_back(noisy_lines(geometry, p, rng));
-    }
-    GridGeometryCache cache;
-    const auto table = cache.acquire(
-        geometry, GridSpec{batch_grid, batch_grid, 1, 0.0, 0.0});
-    std::printf("\n  %-6s %-9s %-12s %-6s %-12s %-12s %s\n", "grid",
-                "antennas", "mode", "batch", "p50[us]", "p99[us]", "speedup");
-    for (std::size_t batch : {1u, 4u, 16u, 64u}) {
-      std::vector<double> per_tag_us;
-      std::vector<double> batched_us;
-      // The gated row (B=16) is a *capability* check — does one shared
-      // pass beat B single passes — so it keeps the best of three
-      // independently-allocated measurement rounds: a frequency or
-      // steal-time dip on a shared runner slows the compute-bound batched
-      // arm without touching the bandwidth-bound single calls, and a
-      // single unlucky round must not fail CI.
-      const std::size_t rounds = batch == 16 ? 3 : 1;
-      double best_ratio = -1.0;
-      for (std::size_t round = 0; round < rounds; ++round) {
-        std::vector<double> pt_us, bt_us;
-        run_rank_batch(geometry, load, *table, batch, rank_reps, pt_us, bt_us);
-        const double p50_pt = percentile(pt_us, 50.0);
-        const double p50_bt = percentile(bt_us, 50.0);
-        const double ratio = p50_bt > 0.0 ? p50_pt / p50_bt : 0.0;
-        if (ratio > best_ratio) {
-          best_ratio = ratio;
-          per_tag_us = std::move(pt_us);
-          batched_us = std::move(bt_us);
-        }
-      }
-      const double per_tag_p50 = percentile(per_tag_us, 50.0);
-      for (bool batched : {false, true}) {
-        const std::vector<double>& us = batched ? batched_us : per_tag_us;
-        Cell cell;
-        cell.grid = batch_grid;
-        cell.antennas = batch_antennas;
-        cell.mode = batched ? "batch-rank" : "per-tag-rank";
-        cell.kernel = "production";
-        cell.batch = batch;
-        cell.p50_us = percentile(us, 50.0);
-        cell.p99_us = percentile(us, 99.0);
-        cell.speedup = cell.p50_us > 0.0 ? per_tag_p50 / cell.p50_us : 0.0;
-        if (batched && batch == 16) batch16_speedup = cell.speedup;
-        cells.push_back(cell);
-        std::printf("  %-6zu %-9zu %-12s %-6zu %-12.1f %-12.1f %.2fx\n",
-                    cell.grid, cell.antennas, cell.mode.c_str(), cell.batch,
-                    cell.p50_us, cell.p99_us, cell.speedup);
       }
     }
   }
@@ -362,41 +167,10 @@ int main(int argc, char** argv) {
     const Cell& cell = cells[i];
     std::printf(
         "%s\n  {\"grid\": %zu, \"antennas\": %zu, \"mode\": \"%s\", "
-        "\"kernel\": \"%s\", \"batch\": %zu, \"p50_us\": %.2f, "
-        "\"p99_us\": %.2f, \"speedup\": %.2f}",
+        "\"p50_us\": %.2f, \"p99_us\": %.2f, \"speedup\": %.2f}",
         i == 0 ? "" : ",", cell.grid, cell.antennas, cell.mode.c_str(),
-        cell.kernel.c_str(), cell.batch, cell.p50_us, cell.p99_us,
-        cell.speedup);
+        cell.p50_us, cell.p99_us, cell.speedup);
   }
   std::printf("\n]\n");
-
-  // ---- Perf gates (measured at grid=41 antennas=4; vectorized only) -----
-  int failures = 0;
-  const double rank_speedup =
-      rank_production_p50_default > 0.0
-          ? rank_canonical_p50_default / rank_production_p50_default
-          : 0.0;
-  std::printf(
-      "\n  production ranking: %.2fx canonical p50 at the default scene "
-      "(CI gate 4x when vectorized)\n",
-      rank_speedup);
-  if (vectorized && rank_speedup < 4.0) {
-    std::fprintf(stderr,
-                 "FAIL: production ranking p50 speedup %.2fx < 4x over "
-                 "canonical at the default scene\n",
-                 rank_speedup);
-    ++failures;
-  }
-  std::printf(
-      "  batched ranking: %.2fx single-call loop p50 at B=16, grid=%zu, "
-      "antennas=%zu (CI gate %.1fx when vectorized)\n",
-      batch16_speedup, batch_grid, batch_antennas, kBatch16Gate);
-  if (vectorized && batch16_speedup < kBatch16Gate) {
-    std::fprintf(stderr,
-                 "FAIL: batched ranking p50 speedup %.2fx < %.1fx over the "
-                 "single-call loop at B=16\n",
-                 batch16_speedup, kBatch16Gate);
-    ++failures;
-  }
-  return failures == 0 ? 0 : 1;
+  return 0;
 }

@@ -6,7 +6,6 @@
 #include "rfp/common/workspace.hpp"
 #include "rfp/core/drift.hpp"
 #include "rfp/core/types.hpp"
-#include "rfp/simd/dispatch.hpp"
 
 /// \file disentangle.hpp
 /// The phase-disentangling solver (paper §IV): turns the per-antenna
@@ -46,11 +45,6 @@ struct DisentangleConfig {
   /// azimuth turn (3D; elevation uses half as many over [-pi/2, pi/2]).
   std::size_t orientation_scan_steps = 720;
 
-  /// Stage B golden-section refinement stops once the bracket is narrower
-  /// than this [rad] (well below any physical orientation accuracy).
-  /// <= 0 restores the legacy fixed 40 iterations.
-  double orientation_refine_tol_rad = 1e-6;
-
   /// Warm start: when the caller passes a position hint (solve_position's
   /// `warm_hint`, RfPrism::sense_batch's `warm_hints`,
   /// StreamingConfig::enable_warm_start),
@@ -59,7 +53,6 @@ struct DisentangleConfig {
   /// windowed solve's refined RMS exceeds `max_rms` or the hint misses the
   /// working region.
   struct WarmStart {
-    bool enable = true;      ///< honor hints when provided
     double window_m = 0.25;  ///< half-width of the hint window [m]
     double max_rms = 2e-9;   ///< fallback threshold on refined RMS [rad/Hz]
   };
@@ -116,10 +109,9 @@ PositionSolve solve_position(const DeploymentGeometry& geometry,
 /// pool by row chunks; results are bit-identical for any pool size.
 ///
 /// The table comes from `cache`, or from GridGeometryCache::shared() when
-/// `cache` is null. With a non-null `warm_hint` (and
-/// config.warm_start.enable) the solve first tries a local window around
-/// the hint and falls back to the full grid when the refined RMS exceeds
-/// config.warm_start.max_rms.
+/// `cache` is null. With a non-null `warm_hint` the solve first tries a
+/// local window around the hint and falls back to the full grid when the
+/// refined RMS exceeds config.warm_start.max_rms.
 PositionSolve solve_position(const DeploymentGeometry& geometry,
                              std::span<const AntennaLine> lines,
                              const DisentangleConfig& config,
@@ -156,12 +148,12 @@ struct BatchedRankRequest {
 
 /// The Stage-A position solve (DESIGN.md "Solver acceleration"): every
 /// position solve in the library, single-round ones included, runs here.
-/// Cold rounds are ranked tag-major per shared pass over the pre-acquired
-/// distance table (the batched rfp::simd kernels visit each table row
-/// once for the whole batch), warm windows batch whenever requests land
-/// on identical windows, and each winner seeds its own LM refinement.
-/// `out[i]` depends only on requests[i], never on the rest of the batch,
-/// the dispatch level or the pool size.
+/// Every cell of the pre-acquired distance table is scored with the
+/// canonical two-pass cost in scan order with a strict-< argmin (cold
+/// rows fan out over `pool` by chunks), warm windows group whenever
+/// requests land on identical windows, and each winner seeds its own LM
+/// refinement. `out[i]` depends only on requests[i], never on the rest of
+/// the batch or the pool size.
 ///
 /// `solved[i]` is set to 1 when out[i] holds a solve and 0 when the round
 /// cannot be solved (too few usable lines, a line naming an unknown
@@ -175,46 +167,19 @@ void solve_position_batch(const DeploymentGeometry& geometry,
                           std::span<PositionSolve> out,
                           std::span<std::uint8_t> solved);
 
-/// One exhaustive Stage-A *ranking* pass over a cached distance table:
-/// the winning cell with its canonical two-pass cost. Benchmark/diagnostic
-/// hook (bench_solver, the ranking property tests).
+/// One exhaustive Stage-A ranking pass over a cached distance table: the
+/// winning cell with its canonical two-pass cost.
 struct StageARank {
   std::size_t cell = 0;  ///< winning cell (canonical strict-< argmin)
   double rss = 0.0;      ///< canonical two-pass rss at the winner
   double kt = 0.0;       ///< canonical closed-form kt at the winner
-  /// Cells re-scored canonically: the factored ranking's margin
-  /// candidates, or n_cells() for rank_canonical, which scores everything.
-  std::size_t candidates = 0;
 };
 
-/// Rank every cell of `table` through the production ranking — the
-/// antenna-factored kernels at `level`, then a canonical re-score of
-/// every cell within a conservative rounding margin of the factored
-/// minimum — as a one-request rank_exhaustive_batch. The winner is the
-/// canonical scan's strict-< scan-order argmin (see rank_canonical).
+/// The canonical two-pass cost at every cell, in scan order with a
+/// strict-< argmin: the reference an unrefined solve_position_batch must
+/// reproduce bit for bit, whatever the batch or pool. Test oracle only.
 /// Throws InvalidArgument on fewer than 3 usable lines, a table/geometry
 /// antenna-count mismatch, or no finite cell cost.
-StageARank rank_exhaustive(const DeploymentGeometry& geometry,
-                           std::span<const AntennaLine> lines,
-                           const GridTable& table, SolveWorkspace& ws,
-                           simd::Level level = simd::active());
-
-/// Tag-batched rank_exhaustive: one shared pass over `table` ranks every
-/// request (bench_solver's batch dimension). out[i].cell/rss/kt are
-/// byte-identical to rank_exhaustive on requests[i].lines alone;
-/// out[i].candidates may be larger (the shared pass re-scores margin
-/// candidates against per-pass minima, a superset of the single-tag
-/// candidate set — the canonical argmin is provably inside both). Throws
-/// like rank_exhaustive on any invalid request; warm hints are ignored.
-void rank_exhaustive_batch(const DeploymentGeometry& geometry,
-                           std::span<const BatchedRankRequest> requests,
-                           const GridTable& table, SolveWorkspace& ws,
-                           std::span<StageARank> out,
-                           simd::Level level = simd::active());
-
-/// The canonical two-pass kernel at every cell, in scan order with a
-/// strict-< argmin — the reference the production ranking must reproduce
-/// bit for bit. Test/bench oracle only; throws like rank_exhaustive.
 StageARank rank_canonical(const DeploymentGeometry& geometry,
                           std::span<const AntennaLine> lines,
                           const GridTable& table, SolveWorkspace& ws);

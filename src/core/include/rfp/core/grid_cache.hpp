@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "rfp/common/aligned.hpp"
 #include "rfp/core/types.hpp"
 
 /// \file grid_cache.hpp
@@ -59,19 +58,6 @@ struct GridTable {
   /// distance(antenna_positions[a], cell_position(cell)) flattened as
   /// [cell * n_antennas + a], cells in canonical (iz, iy, ix) order.
   std::vector<double> dist;
-
-  /// Antenna-major transposed mirror of `dist` for the batched ranking
-  /// kernels (rfp::simd): dist_t[a * cell_stride + cell] ==
-  /// dist[cell * n_antennas + a]. cell_stride pads n_cells() up to a
-  /// multiple of 8 (one AVX2 kernel iteration) and the storage is 32-byte
-  /// aligned; the padded tail repeats the last real cell's distances
-  /// (finite, never reported — scans stop at n_cells()).
-  AlignedVector<double> dist_t;
-  std::size_t cell_stride = 0;
-
-  /// Largest distance in the table: bounds the factored-vs-canonical
-  /// rounding gap for the ranking margin (see disentangle.cpp).
-  double max_dist = 0.0;
 
   // -- Key material (what the table is a pure function of) --------------
   std::vector<Vec3> antenna_positions;

@@ -66,33 +66,13 @@ std::shared_ptr<const GridTable> build_table(const DeploymentGeometry& geometry,
       }
     }
   }
-
-  // Antenna-major mirror for the batched kernels: pad each plane to a
-  // multiple of 8 cells with the last real cell's distances (finite, so
-  // padded lanes never produce NaN/inf that could trip a min scan).
-  const std::size_t n_cells = table->n_cells();
-  table->cell_stride = (n_cells + 7) / 8 * 8;
-  table->dist_t.resize(table->cell_stride * na);
-  table->max_dist = 0.0;
-  for (std::size_t a = 0; a < na; ++a) {
-    double* plane = table->dist_t.data() + a * table->cell_stride;
-    for (std::size_t c = 0; c < n_cells; ++c) {
-      const double d = table->dist[c * na + a];
-      plane[c] = d;
-      if (d > table->max_dist) table->max_dist = d;
-    }
-    for (std::size_t c = n_cells; c < table->cell_stride; ++c) {
-      plane[c] = plane[n_cells - 1];
-    }
-  }
   return table;
 }
 
 }  // namespace
 
 std::size_t GridTable::bytes() const {
-  return (xs.capacity() + ys.capacity() + zs.capacity() + dist.capacity() +
-          dist_t.capacity()) *
+  return (xs.capacity() + ys.capacity() + zs.capacity() + dist.capacity()) *
              sizeof(double) +
          antenna_positions.capacity() * sizeof(Vec3);
 }

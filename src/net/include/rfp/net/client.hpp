@@ -2,14 +2,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "rfp/common/buffer_pool.hpp"
 #include "rfp/common/socket.hpp"
 #include "rfp/core/types.hpp"
 #include "rfp/net/wire.hpp"
@@ -152,8 +150,8 @@ class Client {
                   std::span<const std::uint8_t> payload);
 
   /// The cleared send scratch: every outbound frame (header and payload)
-  /// is encoded in place here, so a pipelined burst reuses one pooled
-  /// buffer instead of allocating per request.
+  /// is encoded in place here, so a pipelined burst reuses one buffer
+  /// instead of allocating per request.
   std::vector<std::uint8_t>& send_scratch();
 
   /// One fresh connection attempt (no retry loop); resets the decoder so
@@ -173,14 +171,10 @@ class Client {
 
   ClientConfig config_;
   UniqueFd fd_;
-  /// Owns the client's send scratch. Behind unique_ptr so the mutex-
-  /// holding pool doesn't cost Client its defaulted move operations, and
-  /// so scratch_'s back-pointer into the pool survives a move.
-  std::unique_ptr<BufferPool> pool_;
-  /// One pooled buffer reused for every outbound frame (see
-  /// send_scratch); request bursts run allocation-free once its capacity
-  /// has grown to the largest frame seen.
-  PooledBuffer scratch_;
+  /// Reused for every outbound frame (see send_scratch); clear() keeps
+  /// the capacity, so request bursts run allocation-free once it has grown
+  /// to the largest frame seen.
+  std::vector<std::uint8_t> send_buffer_;
   FrameDecoder decoder_;
   std::uint32_t next_seq_ = 1;
   /// Encoded kSessionSetup payload of the active session, kept for

@@ -142,16 +142,6 @@ struct ServerConfig {
   std::size_t outbox_coalesce_limit = 512;
 };
 
-/// Monotonic counters for one connection (also aggregated server-wide).
-struct ConnectionStats {
-  std::uint64_t frames_received = 0;
-  std::uint64_t requests_completed = 0;  ///< responses written (non-error)
-  std::uint64_t requests_failed = 0;     ///< error frames written
-  std::uint64_t bytes_received = 0;
-  std::uint64_t bytes_sent = 0;
-  std::size_t in_flight = 0;  ///< accepted, response not yet written
-};
-
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_rejected = 0;     ///< over max_connections
@@ -245,11 +235,6 @@ class Server {
 
   /// Aggregated across reactors.
   ServerStats stats() const;
-
-  /// Per-connection counters of the currently open connections (snapshot
-  /// refreshed by each reactor's poll loop; concatenated across
-  /// reactors).
-  std::vector<ConnectionStats> connection_stats() const;
 
   /// Per-tenant serving counters, default tenant first.
   std::vector<TenantStats> tenant_stats() const { return registry_.stats(); }

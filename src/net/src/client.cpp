@@ -21,10 +21,7 @@ namespace {
 }  // namespace
 
 Client::Client(ClientConfig config)
-    : config_(std::move(config)),
-      pool_(std::make_unique<BufferPool>()),
-      scratch_(pool_->acquire()),
-      decoder_(config_.max_payload) {
+    : config_(std::move(config)), decoder_(config_.max_payload) {
   std::string error = "no attempts made";
   double backoff = config_.retry_backoff_s;
   const int attempts = std::max(1, config_.connect_attempts);
@@ -51,9 +48,8 @@ void Client::send_bytes(std::span<const std::uint8_t> data) {
 }
 
 std::vector<std::uint8_t>& Client::send_scratch() {
-  std::vector<std::uint8_t>& out = scratch_.storage();
-  out.clear();
-  return out;
+  send_buffer_.clear();
+  return send_buffer_;
 }
 
 void Client::send_frame(FrameType type, std::uint32_t seq,

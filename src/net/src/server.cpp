@@ -110,18 +110,11 @@ class Server::Reactor {
     out.writev_calls += stats_.writev_calls;
   }
 
-  void append_connection_stats(std::vector<ConnectionStats>& out) const {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    out.insert(out.end(), connection_snapshot_.begin(),
-               connection_snapshot_.end());
-  }
-
  private:
   struct Connection {
     std::uint64_t id = 0;
     UniqueFd fd;
     FrameDecoder decoder;
-    ConnectionStats stats;
 
     // Session binding: which deployment this connection's requests solve
     // against (the registry default until a kSessionSetup rebinds it),
@@ -217,7 +210,7 @@ class Server::Reactor {
         [](const auto& entry) { return entry.second->drained(); });
   }
 
-  void refresh_snapshots() {
+  void refresh_stats() {
     // Data-path counters live reactor-thread-local (outbox splices) or
     // behind the pool's own lock; fold them into the shared snapshot here
     // so stats() readers never race the hot path.
@@ -232,12 +225,6 @@ class Server::Reactor {
     stats_.frames_coalesced = outbox_counters_.frames_coalesced;
     stats_.bytes_coalesced = outbox_counters_.bytes_coalesced;
     stats_.writev_calls = writev_calls_;
-    connection_snapshot_.clear();
-    for (const auto& [id, conn] : connections_) {
-      ConnectionStats s = conn->stats;
-      s.in_flight = conn->in_flight;
-      connection_snapshot_.push_back(s);
-    }
   }
 
   void poll_loop() {
@@ -415,14 +402,14 @@ class Server::Reactor {
       }
       for (std::uint64_t id : to_close) close_connection(id);
 
-      refresh_snapshots();
+      refresh_stats();
       if (draining && now_s() >= drain_deadline) break;
     }
 
     server_.open_connections_.fetch_sub(connections_.size(),
                                         std::memory_order_relaxed);
     connections_.clear();
-    refresh_snapshots();
+    refresh_stats();
   }
 
   void accept_ready() {
@@ -466,7 +453,6 @@ class Server::Reactor {
       if (r.status == IoStatus::kOk) {
         conn.decoder.feed({buf, r.bytes});
         conn.last_activity = now_s();
-        conn.stats.bytes_received += r.bytes;
         {
           std::lock_guard<std::mutex> lock(stats_mutex_);
           stats_.bytes_received += r.bytes;
@@ -556,7 +542,6 @@ class Server::Reactor {
   void handle_frame(Connection& conn, const FrameView& frame) {
     conn.last_activity = now_s();
     conn.last_progress = conn.last_activity;
-    ++conn.stats.frames_received;
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.frames_received;
@@ -857,11 +842,6 @@ class Server::Reactor {
       slot.present = false;
       slot.failed = false;
       --conn.ready_count;
-      if (failed) {
-        ++conn.stats.requests_failed;
-      } else {
-        ++conn.stats.requests_completed;
-      }
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         if (failed) {
@@ -889,7 +869,6 @@ class Server::Reactor {
           writev_some(conn.fd.get(), iov, static_cast<int>(n_iov));
       if (r.status == IoStatus::kOk) {
         conn.out.consume(r.bytes);
-        conn.stats.bytes_sent += r.bytes;
         conn.last_progress = now_s();
         ++writev_calls_;
         std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -940,7 +919,6 @@ class Server::Reactor {
 
   mutable std::mutex stats_mutex_;
   ServerStats stats_;
-  std::vector<ConnectionStats> connection_snapshot_;
 };
 
 Server::Server(const RfPrism& prism, SensingEngine& engine,
@@ -1039,12 +1017,6 @@ ServerStats Server::stats() const {
   }
   out.tenants_resident = registry_.size();
   out.tenants_evicted = registry_.evictions();
-  return out;
-}
-
-std::vector<ConnectionStats> Server::connection_stats() const {
-  std::vector<ConnectionStats> out;
-  for (const auto& reactor : reactors_) reactor->append_connection_stats(out);
   return out;
 }
 

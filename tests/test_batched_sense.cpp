@@ -1,6 +1,6 @@
 /// Tag-batched Stage-A contract (DESIGN.md "Solver acceleration"): a
-/// sense_batch over B rounds ranks all tags against one shared cached
-/// distance-table pass (solve_position_batch), and the results must be
+/// sense_batch over B rounds ranks all tags against one cached distance
+/// table (solve_position_batch), and the results must be
 /// byte-identical to sensing each round sequentially — across thread
 /// counts, faulted corpora spanning full/degraded/rejected grades,
 /// warm-hint mixes, per-round tag ids, and singleton batches. Also covers
@@ -110,8 +110,6 @@ TEST(BatchedSense, MatchesSequentialAcrossThreadsAndKernels) {
   const std::vector<RoundTrace> corpus = make_corpus(bed, 4, 8);
   const RfPrism& prism = bed.prism();
 
-  // The kernels run at whatever level dispatch picked; the forced-scalar
-  // CI lanes re-run this suite on the scalar kernels.
   bool saw_degraded = false, saw_rejected = false;
   std::vector<SensingResult> reference;
   for (const RoundTrace& round : corpus) {
@@ -260,7 +258,7 @@ TEST(BatchedSense, BatchAcquiresTableOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// solve_position_batch / rank_exhaustive_batch: layer-level contracts
+// solve_position_batch: layer-level contracts
 // ---------------------------------------------------------------------------
 
 TEST(BatchedSolve, SolvePositionBatchMatchesPerTag) {
@@ -331,49 +329,6 @@ TEST(BatchedSolve, TooFewLinesMarksUnsolvedInsteadOfThrowing) {
   EXPECT_EQ(solved[2], 1);
   EXPECT_EQ(out[0].position.x, out[2].position.x);
   EXPECT_EQ(out[0].rms, out[2].rms);
-}
-
-TEST(BatchedSolve, RankExhaustiveBatchMatchesPerTagRank) {
-  const Scene scene = make_scene_2d(79);
-  const DeploymentGeometry geometry = exact_geometry(scene);
-  DisentangleConfig config;
-  SolveWorkspace ws;
-  GridGeometryCache cache;
-  const auto table = cache.acquire(
-      geometry, GridSpec{config.grid_nx, config.grid_ny, 1, config.z_lo,
-                         config.z_hi});
-
-  Rng rng(911);
-  std::vector<std::vector<AntennaLine>> all_lines;
-  for (std::size_t b = 0; b < 5; ++b) {
-    const Vec3 truth{0.3 + 1.4 * rng.uniform(), 0.3 + 1.4 * rng.uniform(),
-                     0.0};
-    all_lines.push_back(exact_lines(geometry, truth,
-                                    planar_polarization(rng.uniform(0.0, kPi)),
-                                    1e-9, 0.5));
-  }
-  std::vector<simd::Level> levels{simd::Level::kScalar};
-  if (simd::detected() == simd::Level::kAvx2) {
-    levels.push_back(simd::Level::kAvx2);
-  }
-  for (simd::Level level : levels) {
-    SCOPED_TRACE(simd::name(level));
-    std::vector<BatchedRankRequest> requests;
-    for (const auto& lines : all_lines) {
-      requests.push_back(BatchedRankRequest{lines, nullptr});
-    }
-    std::vector<StageARank> out(requests.size());
-    rank_exhaustive_batch(geometry, requests, *table, ws, out, level);
-    for (std::size_t b = 0; b < requests.size(); ++b) {
-      const StageARank single =
-          rank_exhaustive(geometry, all_lines[b], *table, ws, level);
-      // The winner is margin-exact; candidate counts may differ (the
-      // batch re-scores pass-local supersets) but never shrink.
-      EXPECT_EQ(out[b].cell, single.cell) << "tag " << b;
-      EXPECT_EQ(out[b].rss, single.rss) << "tag " << b;
-      EXPECT_EQ(out[b].kt, single.kt) << "tag " << b;
-    }
-  }
 }
 
 }  // namespace

@@ -89,7 +89,6 @@ TEST(DeploymentRegistry, GraftKeepsServerSolverSettings) {
 
   RfPrismConfig base = a.prism().config();
   base.disentangle.orientation_scan_steps = 360;
-  base.disentangle.warm_start.enable = false;
   const RfPrism variant_prism = a.make_pipeline_variant(std::move(base));
 
   DeploymentRegistry registry(8);
@@ -98,7 +97,6 @@ TEST(DeploymentRegistry, GraftKeepsServerSolverSettings) {
                                        b.prism().calibrations());
   EXPECT_EQ(tenant->prism().config().disentangle.orientation_scan_steps,
             360u);
-  EXPECT_FALSE(tenant->prism().config().disentangle.warm_start.enable);
   EXPECT_EQ(tenant->prism().config().geometry.n_antennas(),
             b.prism().config().geometry.n_antennas());
   EXPECT_EQ(tenant->prism().calibrations().n_tags(),

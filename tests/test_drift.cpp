@@ -7,7 +7,7 @@
 /// drifted ports and never on a drift-free corpus, ports beyond the
 /// correctable bound fall into the degraded subset-solve path, and with
 /// drift disabled every output stays byte-identical to the drift-free
-/// pipeline across thread counts and ranking kernels.
+/// pipeline across thread counts.
 
 #include "rfp/core/drift.hpp"
 
@@ -522,8 +522,6 @@ TEST_F(DriftTest, DriftOffIsByteIdenticalAcrossThreadsAndKernels) {
                            std::to_string(k));
     }
   }
-  // Ranking kernels: this suite carries the simd label, so the
-  // forced-scalar CI lanes repeat every check above on the scalar kernels.
 }
 
 TEST_F(DriftTest, ActiveCorrectionsAreDeterministicAcrossEnginePaths) {

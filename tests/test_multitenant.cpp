@@ -2,10 +2,10 @@
 /// their own deployments, and every tenant's responses must be
 /// byte-identical to a single-tenant baseline solved locally with the
 /// same grafted pipeline — across engine thread counts, reactor counts,
-/// rank kernels, and faulted/degraded rounds. Also: streaming sessions
-/// vs a local StreamingSensor, session replay on reconnect, registry
-/// exhaustion over the wire, per-tenant drift, and a session
-/// setup/teardown fuzz loop for the sanitizer jobs.
+/// a non-default server solver setting, and faulted/degraded rounds.
+/// Also: streaming sessions vs a local StreamingSensor, session replay on
+/// reconnect, registry exhaustion over the wire, per-tenant drift, and a
+/// session setup/teardown fuzz loop for the sanitizer jobs.
 
 #include <algorithm>
 #include <atomic>

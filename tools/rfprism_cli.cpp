@@ -20,9 +20,6 @@
 ///                                through a SensingEngine thread pool and
 ///                                report throughput (optionally verifying
 ///                                bit-identity with the sequential path)
-///   rfprism serve [options]      run the rfpd sensing daemon in-process
-///                                (serve rounds over the rfp::net wire
-///                                protocol until SIGINT/SIGTERM)
 ///   rfprism request [options]    send one round to a running daemon and
 ///                                print the sensed result (or --ping);
 ///                                --session ships this client's deployment
@@ -63,11 +60,12 @@
 #include "rfp/core/engine.hpp"
 #include "rfp/core/streaming.hpp"
 #include "rfp/exp/testbed.hpp"
+#include "rfp/io/calibration_io.hpp"
+#include "rfp/io/geometry_io.hpp"
 #include "rfp/io/trace_io.hpp"
 #include "rfp/net/client.hpp"
 #include "rfp/rfsim/faults.hpp"
 #include "rfp/track/tracking_engine.hpp"
-#include "rfpd_common.hpp"
 
 namespace {
 
@@ -75,7 +73,7 @@ using namespace rfp;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: rfprism <simulate|track|replay|inspect|materials|stream|batch|serve|request|export> [args]\n"
+               "usage: rfprism <simulate|track|replay|inspect|materials|stream|batch|request|export> [args]\n"
                "  rfprism simulate [--trials N] [--material NAME|all]\n"
                "                   [--alpha DEG] [--multipath] [--seed S]\n"
                "                   [--csv] [--dump-trace FILE]\n"
@@ -91,13 +89,6 @@ int usage() {
                "                 [--host H] [--port N] [--timeout SEC]\n"
                "  rfprism batch [--rounds N] [--threads N] [--material NAME|all]\n"
                "                [--multipath] [--seed S] [--verify]\n"
-               "  rfprism serve [--port N] [--bind ADDR] [--threads N]\n"
-               "                [--reactors N] [--seed S] [--antennas N]\n"
-               "                [--multipath] [--idle-timeout SEC]\n"
-               "                [--max-conns N] [--max-tenants N]\n"
-               "                [--pool-buffers N]\n"
-               "                [--geometry FILE] [--calibration FILE]\n"
-               "                [--drift] [--track]\n"
                "  rfprism request [--host H] [--port N] [--trace FILE]\n"
                "                  [--trial K] [--seed S] [--antennas N]\n"
                "                  [--multipath] [--material NAME] [--tag ID]\n"
@@ -232,7 +223,7 @@ struct TrackOptions {
   std::size_t tags = 3;
   std::uint64_t seed = 42;
   std::size_t antennas = 4;  ///< deployment convention (record and replay
-                             ///< must agree, like `request` vs `serve`)
+                             ///< must agree, like `request` vs `rfpd`)
   bool json = false;
   std::string record_path;  ///< save the live read stream as a read log
   std::string replay_path;  ///< stream a saved read log instead
@@ -1048,55 +1039,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       return run_simulate(options);
-    }
-
-    if (command == "serve") {
-      tools::DaemonOptions options;
-      for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-          if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-            throw UsageError();
-          }
-          return argv[++i];
-        };
-        if (arg == "--port") {
-          options.port = static_cast<std::uint16_t>(std::stoul(next()));
-        } else if (arg == "--bind") {
-          options.bind = next();
-        } else if (arg == "--threads") {
-          options.threads = std::stoull(next());
-        } else if (arg == "--reactors") {
-          options.reactors = std::stoull(next());
-        } else if (arg == "--seed") {
-          options.seed = std::stoull(next());
-        } else if (arg == "--antennas") {
-          options.antennas = std::stoull(next());
-        } else if (arg == "--multipath") {
-          options.multipath = true;
-        } else if (arg == "--idle-timeout") {
-          options.idle_timeout_s = std::stod(next());
-        } else if (arg == "--max-conns") {
-          options.max_connections = std::stoull(next());
-        } else if (arg == "--max-tenants") {
-          options.max_tenants = std::stoull(next());
-        } else if (arg == "--pool-buffers") {
-          options.pool_buffers = std::stoull(next());
-        } else if (arg == "--geometry") {
-          options.geometry_path = next();
-        } else if (arg == "--calibration") {
-          options.calibration_path = next();
-        } else if (arg == "--drift") {
-          options.drift = true;
-        } else if (arg == "--track") {
-          options.track = true;
-        } else {
-          std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-          return usage();
-        }
-      }
-      return tools::run_daemon("rfprism serve", options);
     }
 
     if (command == "request") {
