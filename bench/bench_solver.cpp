@@ -1,8 +1,8 @@
-/// Stage-A solver cost: grid x antennas x mode sweep.
+/// Stage-A solver cost: grid x antennas sweep.
 ///
 /// Measures per-solve latency (p50/p99, microseconds) of solve_position
-/// on synthetic slope lines, cold (full-grid scan) and warm (hint-windowed
-/// scan). A closing JSON block (BENCH_solver.json in CI) makes the sweep
+/// (a full-grid scan plus LM refinement) on synthetic slope lines. A
+/// closing JSON block (BENCH_solver.json in CI) makes the sweep
 /// machine-readable for trending.
 
 #include <chrono>
@@ -55,10 +55,8 @@ std::vector<AntennaLine> noisy_lines(const DeploymentGeometry& geometry,
   return lines;
 }
 
-struct Workload {
-  std::vector<Vec3> targets;
-  std::vector<std::vector<AntennaLine>> lines;  ///< per target
-};
+/// Per-target slope lines of one deployment.
+using Workload = std::vector<std::vector<AntennaLine>>;
 
 struct Cell {
   std::size_t grid = 0;
@@ -66,52 +64,38 @@ struct Cell {
   std::string mode;
   double p50_us = 0.0;
   double p99_us = 0.0;
-  double speedup = 0.0;  ///< p50 vs cold
 };
 
-/// Time cold and warm solves over the same workload, interleaved rep by
-/// rep, so machine-load drift on a shared runner hits both equally.
-/// Returns per-mode samples in `cold_us` / `warm_us`.
-double run_modes(const DeploymentGeometry& geometry, const Workload& load,
-                 std::size_t grid, std::size_t reps,
-                 std::vector<double>& cold_us, std::vector<double>& warm_us) {
+/// Time `reps` passes of cold solves over the workload into `us`.
+double run_cold(const DeploymentGeometry& geometry, const Workload& load,
+                std::size_t grid, std::size_t reps, std::vector<double>& us) {
   DisentangleConfig config;
   config.grid_nx = grid;
   config.grid_ny = grid;
   SolveWorkspace ws;
   GridGeometryCache cache;
   // Warm-up: build the distance table and size the workspace outside the
-  // timed region (steady-state cost is what the sweep compares).
-  (void)solve_position(geometry, load.lines[0], config, ws, nullptr, &cache);
+  // timed region (steady-state cost is what the sweep measures).
+  (void)solve_position(geometry, load[0], config, ws, nullptr, &cache);
 
-  cold_us.clear();
-  warm_us.clear();
+  us.clear();
   double checksum = 0.0;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    for (bool warm : {false, true}) {
-      std::vector<double>& us = warm ? warm_us : cold_us;
-      for (std::size_t t = 0; t < load.targets.size(); ++t) {
-        // Warm mode: the hint a tracker would supply — near the truth, a
-        // few cm off.
-        const Vec3 hint{load.targets[t].x + 0.03, load.targets[t].y - 0.02,
-                        load.targets[t].z};
-        const auto t0 = Clock::now();
-        const PositionSolve solve =
-            solve_position(geometry, load.lines[t], config, ws, nullptr,
-                           &cache, warm ? &hint : nullptr);
-        us.push_back(
-            1e6 * std::chrono::duration<double>(Clock::now() - t0).count());
-        checksum += solve.position.x;
-      }
+    for (const std::vector<AntennaLine>& lines : load) {
+      const auto t0 = Clock::now();
+      const PositionSolve solve =
+          solve_position(geometry, lines, config, ws, nullptr, &cache);
+      us.push_back(
+          1e6 * std::chrono::duration<double>(Clock::now() - t0).count());
+      checksum += solve.position.x;
     }
   }
   return checksum;  // keep the solves observable
 }
 
 void print_cell(const Cell& cell) {
-  std::printf("  %-6zu %-9zu %-10s %-10.1f %-10.1f %.2fx\n", cell.grid,
-              cell.antennas, cell.mode.c_str(), cell.p50_us, cell.p99_us,
-              cell.speedup);
+  std::printf("  %-6zu %-9zu %-10s %-10.1f %.1f\n", cell.grid, cell.antennas,
+              cell.mode.c_str(), cell.p50_us, cell.p99_us);
 }
 
 }  // namespace
@@ -124,7 +108,7 @@ int main(int argc, char** argv) {
   }
 
   print_header("Solver acceleration",
-               "solve_position per-solve latency vs grid, antennas, mode");
+               "solve_position per-solve latency vs grid, antennas");
 
   const std::vector<std::size_t> grids = {41, 81};
   const std::vector<std::size_t> antenna_counts = {4, 8};
@@ -132,33 +116,27 @@ int main(int argc, char** argv) {
   const std::size_t reps = quick ? 4 : 16;
 
   std::vector<Cell> cells;
-  std::printf("  %-6s %-9s %-10s %-10s %-10s %s\n", "grid", "antennas",
-              "mode", "p50[us]", "p99[us]", "speedup");
+  std::printf("  %-6s %-9s %-10s %-10s %s\n", "grid", "antennas", "mode",
+              "p50[us]", "p99[us]");
   for (std::size_t antennas : antenna_counts) {
     const DeploymentGeometry geometry = scene_geometry(antennas);
     Rng rng(mix_seed(antennas, 0x501E));
     Workload load;
     for (std::size_t t = 0; t < n_targets; ++t) {
       const Vec3 p{0.3 + 1.4 * rng.uniform(), 0.3 + 1.4 * rng.uniform(), 0.0};
-      load.targets.push_back(p);
-      load.lines.push_back(noisy_lines(geometry, p, rng));
+      load.push_back(noisy_lines(geometry, p, rng));
     }
     for (std::size_t grid : grids) {
-      std::vector<double> cold_us, warm_us;
-      run_modes(geometry, load, grid, reps, cold_us, warm_us);
-      const double cold_p50 = percentile(cold_us, 50.0);
-      for (bool warm : {false, true}) {
-        const std::vector<double>& us = warm ? warm_us : cold_us;
-        Cell cell;
-        cell.grid = grid;
-        cell.antennas = antennas;
-        cell.mode = warm ? "warm" : "cold";
-        cell.p50_us = percentile(us, 50.0);
-        cell.p99_us = percentile(us, 99.0);
-        cell.speedup = cell.p50_us > 0.0 ? cold_p50 / cell.p50_us : 0.0;
-        cells.push_back(cell);
-        print_cell(cell);
-      }
+      std::vector<double> us;
+      run_cold(geometry, load, grid, reps, us);
+      Cell cell;
+      cell.grid = grid;
+      cell.antennas = antennas;
+      cell.mode = "cold";
+      cell.p50_us = percentile(us, 50.0);
+      cell.p99_us = percentile(us, 99.0);
+      cells.push_back(cell);
+      print_cell(cell);
     }
   }
 
@@ -167,9 +145,9 @@ int main(int argc, char** argv) {
     const Cell& cell = cells[i];
     std::printf(
         "%s\n  {\"grid\": %zu, \"antennas\": %zu, \"mode\": \"%s\", "
-        "\"p50_us\": %.2f, \"p99_us\": %.2f, \"speedup\": %.2f}",
+        "\"p50_us\": %.2f, \"p99_us\": %.2f}",
         i == 0 ? "" : ",", cell.grid, cell.antennas, cell.mode.c_str(),
-        cell.p50_us, cell.p99_us, cell.speedup);
+        cell.p50_us, cell.p99_us);
   }
   std::printf("\n]\n");
   return 0;

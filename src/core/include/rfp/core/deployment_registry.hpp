@@ -23,7 +23,7 @@
 /// deployments share one tenant (and thus one drift estimate, fed by
 /// their senses and streams alike), while the heavy per-deployment
 /// artifacts — the Stage-A distance tables — are shared further down by
-/// the engine's GridGeometryCache, which keys on the physical geometry by
+/// GridGeometryCache::shared(), which keys on the physical geometry by
 /// itself. The thread pool and workspaces are the engine's; the registry
 /// adds no execution resources, only identity and per-tenant state.
 ///

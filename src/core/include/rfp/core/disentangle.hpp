@@ -1,6 +1,6 @@
 #pragma once
 
-#include <cstdint>
+#include <optional>
 
 #include "rfp/common/thread_pool.hpp"
 #include "rfp/common/workspace.hpp"
@@ -45,19 +45,6 @@ struct DisentangleConfig {
   /// azimuth turn (3D; elevation uses half as many over [-pi/2, pi/2]).
   std::size_t orientation_scan_steps = 720;
 
-  /// Warm start: when the caller passes a position hint (solve_position's
-  /// `warm_hint`, RfPrism::sense_batch's `warm_hints`,
-  /// StreamingConfig::enable_warm_start),
-  /// scan only a local window around the hint and LM-refine. Falls back to
-  /// the full grid — byte-identical to the cold solve — whenever the
-  /// windowed solve's refined RMS exceeds `max_rms` or the hint misses the
-  /// working region.
-  struct WarmStart {
-    double window_m = 0.25;  ///< half-width of the hint window [m]
-    double max_rms = 2e-9;   ///< fallback threshold on refined RMS [rad/Hz]
-  };
-  WarmStart warm_start;
-
   /// Online drift self-calibration (drift.hpp): when enabled, the RfPrism
   /// owns a DriftEstimator, subtracts its per-antenna corrections from the
   /// calibrated lines before the solve, and its callers (StreamingSensor,
@@ -66,19 +53,12 @@ struct DisentangleConfig {
   DriftConfig drift;
 };
 
-/// Which Stage-A search produced a PositionSolve.
-enum class SolvePath {
-  kExhaustive,  ///< full grid scan
-  kWarmStart,   ///< hint-windowed scan (did not fall back)
-};
-
 /// Stage A output: position and material slope from the slope equations.
 struct PositionSolve {
   Vec3 position;
   double kt = 0.0;       ///< common-mode slope left after propagation [rad/Hz]
   double rms = 0.0;      ///< RMS slope residual [rad/Hz]
   bool converged = false;
-  SolvePath path = SolvePath::kExhaustive;  ///< which Stage-A search ran
   std::size_t cells_scanned = 0;  ///< Stage-A cost evaluations performed
 };
 
@@ -100,24 +80,33 @@ PositionSolve solve_position(const DeploymentGeometry& geometry,
                              std::span<const AntennaLine> lines,
                              const DisentangleConfig& config);
 
-/// Workspace-taking overload: a one-request solve_position_batch over the
-/// cached distance table, so the single-round and batched solves share one
-/// Stage-A path. All scratch (the flattened SoA snapshot of the usable
-/// lines, LM buffers) lives in `ws`, so repeated solves on a warmed-up
-/// workspace do no heap allocation in the grid scan or the refinement
-/// iterations. With a non-null `pool` the grid scan is fanned out over the
-/// pool by row chunks; results are bit-identical for any pool size.
-///
-/// The table comes from `cache`, or from GridGeometryCache::shared() when
-/// `cache` is null. With a non-null `warm_hint` the solve first tries a
-/// local window around the hint and falls back to the full grid when the
-/// refined RMS exceeds config.warm_start.max_rms.
+/// Workspace-taking overload: try_solve_position over the table from
+/// `cache`, or from GridGeometryCache::shared() when `cache` is null.
+/// Throws InvalidArgument where try_solve_position returns nullopt.
 PositionSolve solve_position(const DeploymentGeometry& geometry,
                              std::span<const AntennaLine> lines,
                              const DisentangleConfig& config,
                              SolveWorkspace& ws, ThreadPool* pool = nullptr,
-                             GridGeometryCache* cache = nullptr,
-                             const Vec3* warm_hint = nullptr);
+                             GridGeometryCache* cache = nullptr);
+
+/// The Stage-A position solve (DESIGN.md "Solver acceleration"): every
+/// position solve in the library runs here, one round at a time. Every
+/// cell of the pre-acquired distance table is scored with the canonical
+/// two-pass cost in scan order with a strict-< argmin, and the winner
+/// seeds an LM refinement. Called from outside a non-null `pool`, the
+/// scan fans out over it by row chunks whose winners are reduced strict-<
+/// in chunk order, so the result is bit-identical for any pool size. All
+/// scratch (the flattened SoA snapshot of the usable lines, LM buffers)
+/// lives in `ws`, so repeated solves on a warmed-up workspace do no heap
+/// allocation in the grid scan or the refinement iterations.
+///
+/// Returns nullopt when the round cannot be solved: too few usable lines
+/// (3 in 2D mode, 4 in 3D mode) or a line naming an unknown antenna.
+/// Throws InvalidArgument on a table built for another geometry or grid.
+std::optional<PositionSolve> try_solve_position(
+    const DeploymentGeometry& geometry, std::span<const AntennaLine> lines,
+    const DisentangleConfig& config, SolveWorkspace& ws, ThreadPool* pool,
+    const GridTable& table);
 
 /// Solve orientation + bt from per-antenna intercepts, given the Stage-A
 /// position estimate (the polarization coupling happens transverse to each
@@ -138,35 +127,6 @@ OrientationSolve solve_orientation(const DeploymentGeometry& geometry,
                                    const DisentangleConfig& config,
                                    SolveWorkspace& ws);
 
-/// One round's Stage-A input in a tag-batched solve: the usable lines of
-/// a round sharing the batch's deployment, plus an optional warm-start
-/// hint (same semantics as solve_position's `warm_hint`).
-struct BatchedRankRequest {
-  std::span<const AntennaLine> lines;
-  const Vec3* warm_hint = nullptr;
-};
-
-/// The Stage-A position solve (DESIGN.md "Solver acceleration"): every
-/// position solve in the library, single-round ones included, runs here.
-/// Every cell of the pre-acquired distance table is scored with the
-/// canonical two-pass cost in scan order with a strict-< argmin (cold
-/// rows fan out over `pool` by chunks), warm windows group whenever
-/// requests land on identical windows, and each winner seeds its own LM
-/// refinement. `out[i]` depends only on requests[i], never on the rest of
-/// the batch or the pool size.
-///
-/// `solved[i]` is set to 1 when out[i] holds a solve and 0 when the round
-/// cannot be solved (too few usable lines, a line naming an unknown
-/// antenna); the batch never throws per request. Requires matching spans
-/// and a table built for this geometry/config — InvalidArgument
-/// otherwise.
-void solve_position_batch(const DeploymentGeometry& geometry,
-                          std::span<const BatchedRankRequest> requests,
-                          const DisentangleConfig& config, SolveWorkspace& ws,
-                          ThreadPool* pool, const GridTable& table,
-                          std::span<PositionSolve> out,
-                          std::span<std::uint8_t> solved);
-
 /// One exhaustive Stage-A ranking pass over a cached distance table: the
 /// winning cell with its canonical two-pass cost.
 struct StageARank {
@@ -176,8 +136,8 @@ struct StageARank {
 };
 
 /// The canonical two-pass cost at every cell, in scan order with a
-/// strict-< argmin: the reference an unrefined solve_position_batch must
-/// reproduce bit for bit, whatever the batch or pool. Test oracle only.
+/// strict-< argmin: the reference an unrefined try_solve_position must
+/// reproduce bit for bit, whatever the pool. Test oracle only.
 /// Throws InvalidArgument on fewer than 3 usable lines, a table/geometry
 /// antenna-count mismatch, or no finite cell cost.
 StageARank rank_canonical(const DeploymentGeometry& geometry,

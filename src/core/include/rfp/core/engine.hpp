@@ -5,19 +5,19 @@
 #include <utility>
 
 #include "rfp/common/thread_pool.hpp"
-#include "rfp/core/grid_cache.hpp"
 
 /// \file engine.hpp
-/// Shared execution resources for high-throughput sensing: one ThreadPool
-/// plus the geometry cache its solves share. An engine is the unit a
-/// deployment shares across pipelines, streaming sensors, and CLI batch
-/// jobs — construct it once, size it to the machine, and pass it wherever
-/// rounds need to be solved. Scratch is per thread, never per engine:
-/// every thread that solves — each pool worker and each caller outside the
-/// pool — uses its own SolveWorkspace::for_this_thread(), so concurrent
-/// callers (several reactors, say) never share scratch. An engine holds no
-/// deployment state: the drift estimate belongs to each deployment's
-/// RfPrism, so one engine serves every tenant.
+/// Shared execution resources for high-throughput sensing: one ThreadPool.
+/// An engine is the unit a deployment shares across pipelines, streaming
+/// sensors, and CLI batch jobs — construct it once, size it to the
+/// machine, and pass it wherever rounds need to be solved. Scratch is per
+/// thread, never per engine: every thread that solves — each pool worker
+/// and each caller outside the pool — uses its own
+/// SolveWorkspace::for_this_thread(), so concurrent callers (several
+/// reactors, say) never share scratch. An engine holds no deployment
+/// state: the drift estimate belongs to each deployment's RfPrism, and the
+/// Stage-A distance tables to GridGeometryCache::shared(), so one engine
+/// serves every tenant.
 ///
 /// Determinism guarantee: everything executed through an engine
 /// (RfPrism::sense_batch, the pool-fanned grid scan) is bit-identical to
@@ -42,15 +42,8 @@ class SensingEngine {
   /// let exceptions escape (see ThreadPool::submit).
   void submit(std::function<void()> task) { pool_.submit(std::move(task)); }
 
-  /// Engine-owned geometry cache: the Stage-A distance tables shared
-  /// read-only by every solve routed through this engine. Engine-less
-  /// paths use GridGeometryCache::shared() instead; both build the same
-  /// (bit-identical) tables.
-  GridGeometryCache& geometry_cache() { return geometry_cache_; }
-
  private:
   ThreadPool pool_;
-  GridGeometryCache geometry_cache_;
 };
 
 }  // namespace rfp

@@ -124,8 +124,7 @@ class GridGeometryCache {
 
   std::size_t max_entries() const { return max_entries_; }
 
-  /// Process-wide cache used by the engine-less sense paths (the
-  /// SensingEngine owns its own instance).
+  /// Process-wide cache every sense path acquires its tables from.
   static GridGeometryCache& shared();
 
  private:

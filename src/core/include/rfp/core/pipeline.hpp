@@ -3,7 +3,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -108,23 +107,20 @@ class RfPrism {
       const std::string& tag_id = {},
       const AntennaHealthMonitor* health = nullptr) const;
 
-  /// Batch sensing with per-round tag ids and warm hints, the general form
-  /// of every entry point above (they all run the same body): fit and
-  /// grade each round, rank all of their positions in one shared Stage-A
-  /// pass, then finish each round. With an `engine` the per-round work and
-  /// the grid scan fan out over its pool and the distance tables come from
-  /// its cache; with a null `engine` everything runs on the calling thread
-  /// against GridGeometryCache::shared(). Results come back in input order
-  /// and are bit-identical to sensing each round alone — including
-  /// degraded/rejected grades — regardless of the engine's thread count or
-  /// of other threads calling into the same engine.
+  /// Batch sensing with per-round tag ids, the general form of every
+  /// entry point above (they all run the same body): each round is fitted,
+  /// gated, position-solved, orientation-solved and graded start to finish
+  /// in one task. With an `engine` the rounds fan out over its pool, one
+  /// round per task; with a null `engine` they run in a loop on the
+  /// calling thread. Every round's distance table is the one
+  /// GridGeometryCache::shared() entry acquired once per call. Results
+  /// come back in input order and are bit-identical to sensing each round
+  /// alone — including degraded/rejected grades — regardless of the
+  /// engine's thread count or of other threads calling into the same
+  /// engine.
   ///
-  /// `tag_ids` is empty or one id per round; `warm_hints` is empty or one
-  /// optional hint per round (anything else throws InvalidArgument).
-  /// Rounds with an engaged hint seed a windowed position solve
-  /// (DisentangleConfig::warm_start) that falls back to the full grid —
-  /// byte-identical to the cold solve — when the windowed residual is too
-  /// high or the hint misses the working region.
+  /// `tag_ids` is empty or one id per round (anything else throws
+  /// InvalidArgument).
   ///
   /// With `disentangle.drift.enable` set, the drift corrections are
   /// snapshotted once per call, so every round of the batch sees the same
@@ -139,8 +135,7 @@ class RfPrism {
   std::vector<SensingResult> sense_batch(
       std::span<const RoundTrace> rounds,
       std::span<const std::string> tag_ids, SensingEngine* engine,
-      const AntennaHealthMonitor* health = nullptr,
-      std::span<const std::optional<Vec3>> warm_hints = {}) const;
+      const AntennaHealthMonitor* health = nullptr) const;
 
   // ---- Online drift self-calibration (drift.hpp) ------------------------
   // The prism owns its deployment's one estimate, built when
@@ -181,34 +176,22 @@ class RfPrism {
   std::vector<AntennaLine> fit_round(const RoundTrace& round,
                                      bool apply_reader_cal) const;
 
-  /// A round after fitting, health gating, drift subtraction and error
-  /// detection — everything that precedes the position solve. When
-  /// `rejected` is set, `result` already carries the final verdict and
-  /// `solve_lines` must not be used.
-  struct PreparedRound {
-    SensingResult result;
-    std::vector<AntennaLine> solve_lines;
-    bool rejected = false;
-  };
+  /// One round start to finish: fit, health gating, drift subtraction and
+  /// error detection, then the position solve on `table` (null when the
+  /// grid is degenerate: the round fails as a solver failure), then
+  /// orientation, features, calibration and grading.
+  SensingResult sense_round(const RoundTrace& round, const std::string& tag_id,
+                            const AntennaHealthMonitor* health,
+                            const DriftCorrections& drift,
+                            const GridTable* table, ThreadPool* pool) const;
 
-  PreparedRound prepare_round(const RoundTrace& round,
-                              const AntennaHealthMonitor* health,
-                              const DriftCorrections& drift) const;
-
-  /// Orientation solve + feature extraction + calibration + grading from
-  /// an already-computed position. May throw Error (solver failure) —
-  /// the caller catches and rejects.
-  SensingResult finish_round(PreparedRound& prep, const std::string& tag_id,
-                             const PositionSolve& pos, SolveWorkspace& ws) const;
-
-  /// The one sensing body behind every public entry point: prepare_round
-  /// per round, one solve_position_batch, then finish_round per round.
-  /// `tag_ids` empty means `shared_tag_id` for every round.
+  /// The one sensing body behind every public entry point: sense_round
+  /// per round, on the engine's pool or the calling thread. `tag_ids`
+  /// empty means `shared_tag_id` for every round.
   std::vector<SensingResult> sense_batch_impl(
       std::span<const RoundTrace> rounds,
       std::span<const std::string> tag_ids, const std::string& shared_tag_id,
-      SensingEngine* engine, const AntennaHealthMonitor* health,
-      std::span<const std::optional<Vec3>> warm_hints) const;
+      SensingEngine* engine, const AntennaHealthMonitor* health) const;
 
   struct LockedDrift {
     LockedDrift(std::size_t n_antennas, const DriftConfig& config)

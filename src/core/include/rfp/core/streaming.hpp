@@ -1,14 +1,12 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "rfp/core/antenna_health.hpp"
 #include "rfp/core/engine.hpp"
 #include "rfp/core/pipeline.hpp"
-#include "rfp/core/tracker.hpp"
 #include "rfp/rfsim/faults.hpp"
 
 /// \file streaming.hpp
@@ -54,34 +52,10 @@ struct StreamingConfig {
   /// read is evicted first (a chattering tag cannot grow a pool forever).
   std::size_t max_reads_per_pool = 64;
 
-  /// Drop a read whose (timestamp, phase) exactly duplicates one already
-  /// pooled for the same (tag, antenna, channel) — LLRP redelivery.
-  bool drop_duplicates = true;
-
-  /// Emit a degraded round for a tag whose healthy-antenna subset (>=
-  /// partial_min_antennas ports with min_channels_per_antenna channels)
-  /// has been waiting longer than max_round_age_s for the remaining ports.
-  /// This is what keeps a deployment with a dead port emitting poses
-  /// *before* the health monitor has quarantined the port.
-  bool emit_partial_rounds = true;
-  std::size_t partial_min_antennas = 3;
-
-  /// Maintain an AntennaHealthMonitor over emitted rounds and use it for
-  /// round-completion and sensing (quarantined ports are not waited for).
-  bool enable_health_monitor = true;
+  /// Port-health tuning of the sensor's AntennaHealthMonitor, which
+  /// watches every emitted round and drives round completion and sensing
+  /// (quarantined ports are not waited for).
   AntennaHealthConfig health;
-
-  /// Warm-start sensing: keep a per-tag constant-velocity track over the
-  /// emitted fixes and seed each completing tag's position solve from the
-  /// track's prediction (a sense_batch warm hint). The solve falls back to
-  /// the full grid whenever the windowed residual exceeds
-  /// DisentangleConfig::warm_start.max_rms, so accuracy is preserved; a
-  /// warm-started solve is *not* bit-identical to a cold one, which is
-  /// why this is opt-in.
-  bool enable_warm_start = false;
-  /// A track whose last accepted fix is older than this never seeds a
-  /// solve (a stale prediction is worse than a cold scan).
-  double warm_start_max_age_s = 30.0;
 };
 
 /// Ingestion / emission counters. All monotonically increasing until
@@ -121,7 +95,13 @@ struct StreamedResult {
 /// any interleaving and any timestamp order; per (tag, antenna, channel)
 /// the reads of the current round are pooled (the pipeline's dwell
 /// aggregation handles pi jumps and averaging). Memory is bounded by the
-/// StreamingConfig caps no matter how adversarial the stream is.
+/// StreamingConfig caps no matter how adversarial the stream is. A read
+/// whose (timestamp, phase) exactly duplicates one already pooled for the
+/// same (tag, antenna, channel) — LLRP redelivery — is dropped. A tag with
+/// at least 3 complete ports (min_channels_per_antenna channels each)
+/// emits a degraded round once it has waited longer than max_round_age_s
+/// for the rest: that keeps a deployment with a dead port emitting poses
+/// *before* the health monitor quarantines the port.
 class StreamingSensor {
  public:
   /// Each poll() senses all completing tags with one RfPrism::sense_batch
@@ -181,15 +161,12 @@ class StreamingSensor {
   /// Ingestion/emission counters since construction or clear().
   const StreamingStats& stats() const { return stats_; }
 
-  /// Port-health monitor state (nullptr when disabled by config).
-  const AntennaHealthMonitor* health() const {
-    return health_ ? &*health_ : nullptr;
-  }
+  /// Port-health monitor state.
+  const AntennaHealthMonitor& health() const { return health_; }
 
   /// Attach a trajectory consumer (see track_sink.hpp): every poll's
-  /// sorted emissions are handed to the sink after accounting, and the
-  /// warm-start path skips any tag the sink flags as maneuvering. The
-  /// sink must outlive the sensor (or be detached with nullptr first).
+  /// sorted emissions are handed to the sink after accounting. The sink
+  /// must outlive the sensor (or be detached with nullptr first).
   /// With no sink attached, behavior is byte-identical to before this
   /// hook existed.
   void attach_track_sink(TrackSink* sink) { track_sink_ = sink; }
@@ -219,7 +196,6 @@ class StreamingSensor {
     double last_prune_s = 0.0;
   };
 
-  bool antenna_monitored(std::size_t antenna) const;
   bool round_complete(const PendingTag& tag, double now_s) const;
   RoundTrace assemble(PendingTag& tag) const;
   void prune_stale_pools(PendingTag& tag);
@@ -231,14 +207,8 @@ class StreamingSensor {
   SensingEngine* engine_ = nullptr;
   std::map<std::string, PendingTag> pending_;
   StreamingStats stats_;
-  std::optional<AntennaHealthMonitor> health_;
+  AntennaHealthMonitor health_;
   double high_water_s_ = 0.0;
-
-  /// Warm-start state (enable_warm_start only): one track per recently
-  /// localized tag, surviving round completion (PendingTag does not).
-  /// Bounded: pruned against tag_timeout_s and capped at
-  /// max_pending_tags by evicting the stalest track.
-  std::map<std::string, Tracker> tracks_;
 
   /// Optional trajectory consumer; not owned. See attach_track_sink().
   TrackSink* track_sink_ = nullptr;

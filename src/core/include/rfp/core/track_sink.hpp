@@ -1,7 +1,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 
 #include "rfp/core/streaming.hpp"
 
@@ -9,10 +8,8 @@
 /// Seam between the streaming layer and a trajectory consumer. rfp_core
 /// cannot depend on rfp_track (the tracking engine consumes core types),
 /// so StreamingSensor talks to an abstract sink: after each poll it hands
-/// the sorted emissions over, and before each warm-started solve it asks
-/// whether the tag is maneuvering (a warm-start hint seeded from a track
-/// mid-maneuver is worse than a cold scan). With no sink attached the
-/// sensor is byte-identical to the pre-sink pipeline.
+/// the sorted emissions over. The sink only consumes: with or without one
+/// attached, the sensor's emissions are the same.
 
 namespace rfp {
 
@@ -26,10 +23,6 @@ class TrackSink {
   /// lifecycle clocks to `now_s`.
   virtual void observe_emissions(std::span<const StreamedResult> emissions,
                                  double now_s) = 0;
-
-  /// True when `tag_id` should not receive a warm-start hint this poll
-  /// (e.g. the sink's motion segmentation says the tag is maneuvering).
-  virtual bool suppress_warm_start(const std::string& tag_id) const = 0;
 };
 
 }  // namespace rfp

@@ -63,10 +63,6 @@ class Tracker {
   /// grow while the track coasts; see predict_state().
   std::optional<TrackState> state() const;
 
-  /// Predicted position at `time_s` (>= the last update); nullopt before
-  /// the first accepted fix.
-  std::optional<Vec2> predict(double time_s) const;
-
   /// State predicted at `time_s` (>= the last update) with the
   /// covariance propagated through the constant-velocity model to that
   /// time. Unlike state(), the reported variance keeps growing while the
@@ -80,8 +76,7 @@ class Tracker {
   std::size_t rejected_in_a_row() const { return consecutive_rejections_; }
 
   /// Absolute time of the last accepted fix (0 before the first). Lets
-  /// callers judge track staleness — e.g. the streaming sensor's
-  /// warm-start path only seeds a solve from a sufficiently fresh track.
+  /// callers judge track staleness and keep fixes in time order.
   double last_update_time_s() const { return initialized_ ? last_time_s : 0.0; }
 
  private:

@@ -1,13 +1,11 @@
 #include "rfp/core/disentangle.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "rfp/common/angles.hpp"
@@ -170,25 +168,6 @@ struct GridBest {
   bool any = false;
 };
 
-/// Grid-index range [i0, i1] of cells whose axis coordinate falls within
-/// [center - halfwidth, center + halfwidth]; false if the window misses
-/// the axis entirely.
-bool axis_window(double lo, double extent, std::size_t n, double center,
-                 double halfwidth, std::size_t& i0, std::size_t& i1) {
-  if (!(extent > 0.0) || n < 2) {
-    i0 = i1 = 0;
-    return true;  // degenerate axis: the single coordinate always "matches"
-  }
-  const double step = extent / static_cast<double>(n - 1);
-  const double f0 = std::floor((center - halfwidth - lo) / step);
-  const double f1 = std::ceil((center + halfwidth - lo) / step);
-  if (f1 < 0.0 || f0 > static_cast<double>(n - 1)) return false;
-  i0 = f0 < 0.0 ? 0 : static_cast<std::size_t>(f0);
-  i1 = f1 > static_cast<double>(n - 1) ? n - 1
-                                       : static_cast<std::size_t>(f1);
-  return i0 <= i1;
-}
-
 /// Canonical scan of the contiguous cells [cell_begin, cell_end), folded
 /// strict-< into `best`: visited in scan order, so `best` ends on the
 /// first strict minimum, exactly as rank_canonical's walk. NaN costs never
@@ -207,40 +186,8 @@ void scan_cells(const RoundSnapshot& snap, const GridTable& table,
   }
 }
 
-/// Window bounds {x0, x1, y0, y1, z0, z1} (inclusive grid indices) as a
-/// grouping key: warm windows that coincide across tags share one group.
-using WindowKey = std::array<std::size_t, 6>;
-
-/// Warm-start window scan in canonical window order: z layers, then rows,
-/// then the row's contiguous x run.
-void scan_window(const RoundSnapshot& snap, const GridTable& table,
-                 const WindowKey& key, GridBest& best) {
-  const std::size_t nx = table.spec.nx;
-  const std::size_t ny = table.spec.ny;
-  for (std::size_t iz = key[4]; iz <= key[5]; ++iz) {
-    for (std::size_t iy = key[2]; iy <= key[3]; ++iy) {
-      const std::size_t row0 = (iz * ny + iy) * nx;
-      scan_cells(snap, table, row0 + key[0], row0 + key[1] + 1, best);
-    }
-  }
-}
-
-/// Per-workspace scratch of solve_position_batch: snapshots and selection
-/// arrays reused across batches.
-struct BatchScratch {
-  std::vector<RoundSnapshot> snaps;
-  std::vector<std::uint8_t> done;
-  std::vector<std::size_t> pending;
-  /// Warm requests keyed by window, sorted so equal windows are adjacent.
-  std::vector<std::pair<WindowKey, std::size_t>> warm;
-  std::vector<GridBest> bests;
-  std::vector<GridBest> chunk_slots;
-};
-
-/// Stage A2: Levenberg-Marquardt refinement of a Stage-A1 winner plus the
-/// final PositionSolve assembly. Shared verbatim by the exhaustive and
-/// warm-start paths so they differ only in which grid cells seed the
-/// refinement.
+/// Stage A2: Levenberg-Marquardt refinement of the grid scan's winner
+/// plus the final PositionSolve assembly.
 PositionSolve refine_and_finish(const RoundSnapshot& snap,
                                 const DeploymentGeometry& geometry,
                                 const DisentangleConfig& config,
@@ -347,7 +294,7 @@ PositionSolve solve_position(const DeploymentGeometry& geometry,
                              std::span<const AntennaLine> lines,
                              const DisentangleConfig& config,
                              SolveWorkspace& ws, ThreadPool* pool,
-                             GridGeometryCache* cache, const Vec3* warm_hint) {
+                             GridGeometryCache* cache) {
   GridGeometryCache& tables =
       cache != nullptr ? *cache : GridGeometryCache::shared();
   const std::shared_ptr<const GridTable> table = tables.acquire(
@@ -355,157 +302,71 @@ PositionSolve solve_position(const DeploymentGeometry& geometry,
       GridSpec{config.grid_nx, config.grid_ny,
                std::max<std::size_t>(config.grid_nz, 1), config.z_lo,
                config.z_hi});
-  const BatchedRankRequest request{lines, warm_hint};
-  PositionSolve solve;
-  std::uint8_t solved = 0;
-  solve_position_batch(geometry, {&request, 1}, config, ws, pool, *table,
-                       {&solve, 1}, {&solved, 1});
-  require(solved != 0, "solve_position: not enough usable antenna lines");
-  return solve;
+  const std::optional<PositionSolve> solve =
+      try_solve_position(geometry, lines, config, ws, pool, *table);
+  require(solve.has_value(), "solve_position: not enough usable antenna lines");
+  return *solve;
 }
 
-void solve_position_batch(const DeploymentGeometry& geometry,
-                          std::span<const BatchedRankRequest> requests,
-                          const DisentangleConfig& config, SolveWorkspace& ws,
-                          ThreadPool* pool, const GridTable& table,
-                          std::span<PositionSolve> out,
-                          std::span<std::uint8_t> solved) {
-  require(out.size() == requests.size() && solved.size() == requests.size(),
-          "solve_position_batch: output spans must match requests");
+std::optional<PositionSolve> try_solve_position(
+    const DeploymentGeometry& geometry, std::span<const AntennaLine> lines,
+    const DisentangleConfig& config, SolveWorkspace& ws, ThreadPool* pool,
+    const GridTable& table) {
   require(table.n_antennas == geometry.n_antennas(),
-          "solve_position_batch: table/geometry antenna count mismatch");
-  require(config.grid_nx >= 2 && config.grid_ny >= 2,
-          "solve_position_batch: grid too coarse");
+          "try_solve_position: table/geometry antenna count mismatch");
   const std::size_t nz = std::max<std::size_t>(config.grid_nz, 1);
   require(table.spec.nx == config.grid_nx && table.spec.ny == config.grid_ny &&
               table.spec.nz == nz,
-          "solve_position_batch: table/config grid mismatch");
+          "try_solve_position: table/config grid mismatch");
 
   const bool mode_3d = config.grid_nz > 1;
-  const std::size_t min_antennas = mode_3d ? 4 : 3;
-  const std::size_t rows = nz * config.grid_ny;
-  const std::size_t n = requests.size();
-  const Rect& region = geometry.working_region;
+  RoundSnapshot& snap = ws.scratch<RoundSnapshot>();
+  try {
+    build_snapshot(geometry, lines, snap);
+  } catch (const Error&) {
+    return std::nullopt;  // a line names an unknown antenna
+  }
+  if (snap.n < (mode_3d ? 4u : 3u)) return std::nullopt;
 
-  BatchScratch& scr = ws.scratch<BatchScratch>();
-  if (scr.snaps.size() < n) scr.snaps.resize(n);
-  scr.done.assign(n, 0);
-  for (std::size_t b = 0; b < n; ++b) {
-    RoundSnapshot& snap = scr.snaps[b];
-    try {
-      build_snapshot(geometry, requests[b].lines, snap);
-      solved[b] = snap.n >= min_antennas ? 1 : 0;
-    } catch (const Error&) {
-      solved[b] = 0;  // a line names an unknown antenna
-    }
-    if (solved[b] == 0) scr.done[b] = 1;
-  }
-
-  // ---- Stage A0: warm starts, grouped by identical hint windows --------
-  scr.warm.clear();
-  const double w = config.warm_start.window_m;
-  for (std::size_t b = 0; b < n; ++b) {
-    if (scr.done[b] != 0 || requests[b].warm_hint == nullptr) continue;
-    const Vec3 hint = *requests[b].warm_hint;
-    std::size_t x0, x1, y0, y1, z0 = 0, z1 = 0;
-    if (!axis_window(region.lo.x, region.width(), config.grid_nx, hint.x, w,
-                     x0, x1) ||
-        !axis_window(region.lo.y, region.height(), config.grid_ny, hint.y, w,
-                     y0, y1)) {
-      continue;  // hint missed the region: cold solve
-    }
-    if (mode_3d && !axis_window(config.z_lo, config.z_hi - config.z_lo, nz,
-                                hint.z, w, z0, z1)) {
-      continue;
-    }
-    scr.warm.emplace_back(WindowKey{x0, x1, y0, y1, z0, z1}, b);
-  }
-  // Sorted in place so warm solves stay off the heap once the scratch is
-  // warm; within a window, requests stay in input order.
-  std::sort(scr.warm.begin(), scr.warm.end());
-  for (std::size_t g = 0; g < scr.warm.size();) {
-    const WindowKey& key = scr.warm[g].first;
-    std::size_t g_end = g + 1;
-    while (g_end < scr.warm.size() && scr.warm[g_end].first == key) ++g_end;
-    const std::size_t window_cells = (key[1] - key[0] + 1) *
-                                     (key[3] - key[2] + 1) *
-                                     (key[5] - key[4] + 1);
-    for (std::size_t j = g; j < g_end; ++j) {
-      const std::size_t b = scr.warm[j].second;
-      GridBest windowed;
-      scan_window(scr.snaps[b], table, key, windowed);
-      if (!windowed.any || !std::isfinite(windowed.rss)) continue;
-      PositionSolve warm = refine_and_finish(scr.snaps[b], geometry, config,
-                                             ws, mode_3d, windowed);
-      if (warm.rms <= config.warm_start.max_rms) {
-        warm.path = SolvePath::kWarmStart;
-        warm.cells_scanned = window_cells;
-        out[b] = warm;
-        scr.done[b] = 1;
-      }
-      // Otherwise fall through to the cold pass, byte-identical to the
-      // hint-less solve.
-    }
-    g = g_end;
-  }
-
-  // ---- Stage A1: the cold pass scans every cell for each pending tag ---
-  scr.pending.clear();
-  for (std::size_t b = 0; b < n; ++b) {
-    if (scr.done[b] == 0) scr.pending.push_back(b);
-  }
-  if (scr.pending.empty()) return;
-  const std::size_t n_pending = scr.pending.size();
+  // ---- Stage A1: the canonical scan of every cell ------------------------
   const std::size_t nx = config.grid_nx;
-  scr.bests.assign(n_pending, GridBest{});
-
-  if (pool != nullptr && pool->size() > 1) {
-    // Rows fan out over the pool by chunks; per-(chunk, tag) bests are
-    // reduced strict-< in chunk order per tag, so the winner matches the
-    // sequential pass exactly for any pool size.
+  const std::size_t rows = nz * config.grid_ny;
+  GridBest best;
+  if (pool != nullptr && pool->size() > 1 &&
+      pool->worker_index() == ThreadPool::npos) {
+    // Rows fan out over the pool by chunks; the chunk winners are reduced
+    // strict-< in chunk order, so the winner matches the sequential scan
+    // exactly for any pool size. (On one of the pool's own workers the
+    // chunks would only run inline, so the plain scan below runs instead.)
     const std::size_t chunk =
         std::max<std::size_t>(1, rows / (4 * pool->size()));
-    const std::size_t n_chunks = (rows + chunk - 1) / chunk;
-    scr.chunk_slots.assign(n_chunks * n_pending, GridBest{});
+    std::vector<GridBest>& chunk_bests = ws.scratch<std::vector<GridBest>>();
+    chunk_bests.assign((rows + chunk - 1) / chunk, GridBest{});
     pool->parallel_for(
         rows, chunk, [&](std::size_t begin, std::size_t end, std::size_t) {
-          GridBest* slots = scr.chunk_slots.data() + (begin / chunk) * n_pending;
-          for (std::size_t p = 0; p < n_pending; ++p) {
-            scan_cells(scr.snaps[scr.pending[p]], table, begin * nx, end * nx,
-                       slots[p]);
-          }
+          scan_cells(snap, table, begin * nx, end * nx,
+                     chunk_bests[begin / chunk]);
         });
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      for (std::size_t p = 0; p < n_pending; ++p) {
-        const GridBest& slot = scr.chunk_slots[c * n_pending + p];
-        if (slot.any && slot.rss < scr.bests[p].rss) scr.bests[p] = slot;
-      }
+    for (const GridBest& chunk_best : chunk_bests) {
+      if (chunk_best.any && chunk_best.rss < best.rss) best = chunk_best;
     }
   } else {
-    for (std::size_t p = 0; p < n_pending; ++p) {
-      scan_cells(scr.snaps[scr.pending[p]], table, 0, rows * nx,
-                 scr.bests[p]);
-    }
+    scan_cells(snap, table, 0, rows * nx, best);
   }
 
-  for (std::size_t p = 0; p < n_pending; ++p) {
-    const std::size_t b = scr.pending[p];
-    GridBest best = scr.bests[p];
-    if (!best.any || !std::isfinite(best.rss)) {
-      // Pathological (all costs NaN/inf): fall back to the region center,
-      // like the pre-snapshot implementation's initial candidate.
-      best.position = Vec3{region.center().x, region.center().y,
-                           geometry.tag_plane_z};
-      const SlopeCost cost = slope_cost(scr.snaps[b], best.position);
-      best.kt = cost.kt;
-      best.rss = cost.rss;
-    }
-    PositionSolve solve =
-        refine_and_finish(scr.snaps[b], geometry, config, ws, mode_3d, best);
-    solve.path = SolvePath::kExhaustive;
-    solve.cells_scanned = rows * nx;
-    out[b] = solve;
+  if (!best.any || !std::isfinite(best.rss)) {
+    // Pathological (all costs NaN/inf): fall back to the region center,
+    // like the pre-snapshot implementation's initial candidate.
+    const Vec2 center = geometry.working_region.center();
+    best.position = Vec3{center.x, center.y, geometry.tag_plane_z};
+    const SlopeCost cost = slope_cost(snap, best.position);
+    best.kt = cost.kt;
+    best.rss = cost.rss;
   }
+  PositionSolve solve =
+      refine_and_finish(snap, geometry, config, ws, mode_3d, best);
+  solve.cells_scanned = rows * nx;
+  return solve;
 }
 
 StageARank rank_canonical(const DeploymentGeometry& geometry,

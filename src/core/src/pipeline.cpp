@@ -1,8 +1,8 @@
 #include "rfp/core/pipeline.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "rfp/common/angles.hpp"
@@ -95,12 +95,12 @@ void RfPrism::calibrate_tag(const std::string& tag_id, const RoundTrace& round,
 
 namespace {
 
-/// Reject `result` in place with `reason`.
-SensingResult& reject(SensingResult& result, RejectReason reason) {
+/// `result` rejected with `reason`.
+SensingResult reject(SensingResult&& result, RejectReason reason) {
   result.valid = false;
   result.reject_reason = reason;
   result.grade = SensingGrade::kRejected;
-  return result;
+  return std::move(result);
 }
 
 }  // namespace
@@ -108,126 +108,71 @@ SensingResult& reject(SensingResult& result, RejectReason reason) {
 SensingResult RfPrism::sense(const RoundTrace& round, const std::string& tag_id,
                              const AntennaHealthMonitor* health) const {
   return std::move(
-      sense_batch_impl({&round, 1}, {}, tag_id, nullptr, health, {})[0]);
+      sense_batch_impl({&round, 1}, {}, tag_id, nullptr, health)[0]);
 }
 
 SensingResult RfPrism::sense(const RoundTrace& round, SensingEngine& engine,
                              const std::string& tag_id,
                              const AntennaHealthMonitor* health) const {
   return std::move(
-      sense_batch_impl({&round, 1}, {}, tag_id, &engine, health, {})[0]);
+      sense_batch_impl({&round, 1}, {}, tag_id, &engine, health)[0]);
 }
 
 std::vector<SensingResult> RfPrism::sense_batch(
     std::span<const RoundTrace> rounds, SensingEngine& engine,
     const std::string& tag_id, const AntennaHealthMonitor* health) const {
-  return sense_batch_impl(rounds, {}, tag_id, &engine, health, {});
+  return sense_batch_impl(rounds, {}, tag_id, &engine, health);
 }
 
 std::vector<SensingResult> RfPrism::sense_batch(
     std::span<const RoundTrace> rounds, std::span<const std::string> tag_ids,
-    SensingEngine* engine, const AntennaHealthMonitor* health,
-    std::span<const std::optional<Vec3>> warm_hints) const {
+    SensingEngine* engine, const AntennaHealthMonitor* health) const {
   require(tag_ids.empty() || tag_ids.size() == rounds.size(),
           "RfPrism::sense_batch: tag_ids must be empty or match rounds");
-  require(warm_hints.empty() || warm_hints.size() == rounds.size(),
-          "RfPrism::sense_batch: warm_hints must be empty or match rounds");
-  return sense_batch_impl(rounds, tag_ids, {}, engine, health, warm_hints);
+  return sense_batch_impl(rounds, tag_ids, {}, engine, health);
 }
 
 std::vector<SensingResult> RfPrism::sense_batch_impl(
     std::span<const RoundTrace> rounds, std::span<const std::string> tag_ids,
     const std::string& shared_tag_id, SensingEngine* engine,
-    const AntennaHealthMonitor* health,
-    std::span<const std::optional<Vec3>> warm_hints) const {
+    const AntennaHealthMonitor* health) const {
+  if (rounds.empty()) return {};
   std::vector<SensingResult> results(rounds.size());
   const DisentangleConfig& dc = config_.disentangle;
-  const auto tag_of = [&](std::size_t i) -> const std::string& {
-    return tag_ids.empty() ? shared_tag_id : tag_ids[i];
-  };
-  const auto hint_of = [&](std::size_t i) -> const Vec3* {
-    return (!warm_hints.empty() && warm_hints[i].has_value()) ? &*warm_hints[i]
-                                                              : nullptr;
-  };
-  // Run `fn(i)` for every round: one round per chunk on the engine's pool
-  // (every chunk writes only its own pre-assigned slot, so results are in
-  // input order and independent of scheduling; exceptions keep
-  // parallel_for's first-in-chunk-order semantics), or a plain loop on
-  // the calling thread.
-  const auto for_each_round = [&](const auto& fn) {
-    if (engine == nullptr) {
-      for (std::size_t i = 0; i < rounds.size(); ++i) fn(i);
-      return;
-    }
-    engine->pool().parallel_for(
-        rounds.size(), 1, [&](std::size_t begin, std::size_t end, std::size_t) {
-          for (std::size_t i = begin; i < end; ++i) fn(i);
-        });
-  };
 
-  // One drift snapshot per call (inactive without drift): every round sees
-  // the same estimate, whatever the thread count.
+  // One drift snapshot and one distance table per call: every round sees
+  // the same estimate whatever the thread count, and shares the
+  // deployment geometry, so the cache lookup is one digest+lock per call.
+  // A degenerate grid has no table: every round that reaches Stage A is
+  // then a solver failure.
   const DriftCorrections drift = drift_corrections();
-
-  // Phase 1: fit + gate every round (needs no workspace).
-  std::vector<PreparedRound> preps(rounds.size());
-  for_each_round([&](std::size_t i) {
-    preps[i] = prepare_round(rounds[i], health, drift);
-  });
-
-  // Phase 2: tag-major Stage A over the shared table. Every round shares
-  // the deployment geometry, so the cache lookup is one digest+lock per
-  // call; solve_position_batch fans the grid rows out over the pool.
-  std::vector<BatchedRankRequest> requests;
-  std::vector<std::size_t> req_of(rounds.size(), 0);
-  requests.reserve(rounds.size());
-  for (std::size_t i = 0; i < rounds.size(); ++i) {
-    if (preps[i].rejected) continue;
-    req_of[i] = requests.size();
-    requests.push_back(BatchedRankRequest{
-        std::span<const AntennaLine>(preps[i].solve_lines), hint_of(i)});
-  }
-  std::vector<PositionSolve> solves(requests.size());
-  std::vector<std::uint8_t> solved(requests.size(), 0);
   std::shared_ptr<const GridTable> table;
-  if (!requests.empty()) {
-    GridGeometryCache& cache = engine != nullptr ? engine->geometry_cache()
-                                                 : GridGeometryCache::shared();
-    try {
-      table = cache.acquire(
-          config_.geometry,
-          GridSpec{dc.grid_nx, dc.grid_ny, std::max<std::size_t>(dc.grid_nz, 1),
-                   dc.z_lo, dc.z_hi});
-    } catch (const Error&) {
-      // A degenerate grid has no table: `solved` stays all-zero, so every
-      // round is a solver failure.
-    }
-  }
-  if (table != nullptr) {
-    solve_position_batch(config_.geometry, requests, dc,
-                         SolveWorkspace::for_this_thread(),
-                         engine != nullptr ? &engine->pool() : nullptr, *table,
-                         solves, solved);
+  try {
+    table = GridGeometryCache::shared().acquire(
+        config_.geometry,
+        GridSpec{dc.grid_nx, dc.grid_ny, std::max<std::size_t>(dc.grid_nz, 1),
+                 dc.z_lo, dc.z_hi});
+  } catch (const Error&) {
   }
 
-  // Phase 3: orientation + features + grading per round.
-  for_each_round([&](std::size_t i) {
-    if (preps[i].rejected) {
-      results[i] = std::move(preps[i].result);
-      return;
+  // One round per chunk on the engine's pool (every chunk writes only its
+  // own slot, so results are in input order whatever the scheduling, and
+  // parallel_for rethrows the first exception in chunk order), or a plain
+  // loop on the calling thread.
+  ThreadPool* pool = engine != nullptr ? &engine->pool() : nullptr;
+  const auto sense_rounds = [&](std::size_t begin, std::size_t end,
+                                std::size_t) {
+    for (std::size_t i = begin; i < end; ++i) {
+      results[i] = sense_round(rounds[i],
+                               tag_ids.empty() ? shared_tag_id : tag_ids[i],
+                               health, drift, table.get(), pool);
     }
-    const std::size_t r = req_of[i];
-    if (solved[r] == 0) {
-      results[i] = reject(preps[i].result, RejectReason::kSolverFailure);
-      return;
-    }
-    try {
-      results[i] = finish_round(preps[i], tag_of(i), solves[r],
-                                SolveWorkspace::for_this_thread());
-    } catch (const Error&) {
-      results[i] = reject(preps[i].result, RejectReason::kSolverFailure);
-    }
-  });
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(rounds.size(), 1, sense_rounds);
+  } else {
+    sense_rounds(0, rounds.size(), 0);
+  }
   return results;
 }
 
@@ -263,12 +208,14 @@ void RfPrism::with_drift(
   fn(drift_->estimator);
 }
 
-RfPrism::PreparedRound RfPrism::prepare_round(
-    const RoundTrace& round, const AntennaHealthMonitor* health,
-    const DriftCorrections& drift) const {
-  PreparedRound prep;
-  SensingResult& result = prep.result;
-  std::vector<AntennaLine>& solve_lines = prep.solve_lines;
+SensingResult RfPrism::sense_round(const RoundTrace& round,
+                                   const std::string& tag_id,
+                                   const AntennaHealthMonitor* health,
+                                   const DriftCorrections& drift,
+                                   const GridTable* table,
+                                   ThreadPool* pool) const {
+  SensingResult result;
+  std::vector<AntennaLine> solve_lines;
   result.lines = fit_round(round, /*apply_reader_cal=*/true);
   const bool mode_3d = config_.disentangle.grid_nz > 1;
   const std::size_t min_antennas = mode_3d ? 4 : 3;
@@ -334,22 +281,19 @@ RfPrism::PreparedRound RfPrism::prepare_round(
     // detector verdict when *every* port failed (mobility corrupts all
     // antennas at once — that is not a port-health problem); otherwise
     // name the antenna-health gate explicitly.
-    prep.rejected = true;
     if (config_.enable_error_detector) {
       if (result.unhealthy_antennas.size() == result.lines.size()) {
         const RejectReason reason =
             detect_errors(result.lines, config_.error_detector);
-        reject(result, reason != RejectReason::kNone
-                           ? reason
-                           : RejectReason::kAntennaHealth);
-        return prep;
+        return reject(std::move(result), reason != RejectReason::kNone
+                                             ? reason
+                                             : RejectReason::kAntennaHealth);
       }
-      reject(result, RejectReason::kAntennaHealth);
-      return prep;
+      return reject(std::move(result), RejectReason::kAntennaHealth);
     }
-    reject(result, quarantine_excluded ? RejectReason::kAntennaHealth
-                                       : RejectReason::kSolverFailure);
-    return prep;
+    return reject(std::move(result), quarantine_excluded
+                                         ? RejectReason::kAntennaHealth
+                                         : RejectReason::kSolverFailure);
   }
 
   if (config_.enable_error_detector) {
@@ -375,43 +319,46 @@ RfPrism::PreparedRound RfPrism::prepare_round(
       }
     }
     if (reason != RejectReason::kNone) {
-      prep.rejected = true;
-      reject(result, reason);
-      return prep;
+      return reject(std::move(result), reason);
     }
   }
 
-  return prep;
-}
+  // ---- Stage A, then Stage B, features and grading --------------------
+  SolveWorkspace& ws = SolveWorkspace::for_this_thread();
+  const std::optional<PositionSolve> solved =
+      table != nullptr ? try_solve_position(config_.geometry, solve_lines,
+                                            config_.disentangle, ws, pool,
+                                            *table)
+                       : std::nullopt;
+  if (!solved.has_value()) {
+    return reject(std::move(result), RejectReason::kSolverFailure);
+  }
+  // Stage B and the features work on `result` in place, so a throw among
+  // them rejects the fitted/gated result as a solver failure.
+  try {
+    const PositionSolve& pos = *solved;
+    const OrientationSolve orient = solve_orientation(
+        config_.geometry, solve_lines, pos.position, config_.disentangle, ws);
+    result.position = pos.position;
+    result.position_residual = pos.rms;
+    result.kt = pos.kt;
+    result.alpha = orient.alpha;
+    result.polarization = orient.polarization;
+    result.orientation_residual = orient.rms;
+    result.bt = orient.bt;
 
-SensingResult RfPrism::finish_round(PreparedRound& prep,
-                                    const std::string& tag_id,
-                                    const PositionSolve& pos,
-                                    SolveWorkspace& ws) const {
-  // Work on prep.result in place: if the orientation solve throws, the
-  // caller still holds the fitted/gated result to reject.
-  SensingResult& result = prep.result;
-  const std::vector<AntennaLine>& solve_lines = prep.solve_lines;
-  const OrientationSolve orient = solve_orientation(
-      config_.geometry, solve_lines, pos.position, config_.disentangle, ws);
-
-  result.position = pos.position;
-  result.position_residual = pos.rms;
-  result.kt = pos.kt;
-  result.alpha = orient.alpha;
-  result.polarization = orient.polarization;
-  result.orientation_residual = orient.rms;
-  result.bt = orient.bt;
-
-  // Material features come from the lines that were actually solved on: a
-  // dead or bursty port would otherwise poison the averaged signature.
-  result.material_signature =
-      material_signature(std::span<const AntennaLine>(solve_lines));
-  if (!tag_id.empty()) {
-    if (const TagCalibration* cal = db_.find_tag(tag_id)) {
-      apply_tag_calibration(*cal, result.kt, result.bt,
-                            result.material_signature);
+    // Material features come from the lines that were actually solved on:
+    // a dead or bursty port would otherwise poison the averaged signature.
+    result.material_signature =
+        material_signature(std::span<const AntennaLine>(solve_lines));
+    if (!tag_id.empty()) {
+      if (const TagCalibration* cal = db_.find_tag(tag_id)) {
+        apply_tag_calibration(*cal, result.kt, result.bt,
+                              result.material_signature);
+      }
     }
+  } catch (const Error&) {
+    return reject(std::move(result), RejectReason::kSolverFailure);
   }
 
   result.valid = true;
@@ -420,7 +367,7 @@ SensingResult RfPrism::finish_round(PreparedRound& prep,
                   solve_lines.size() < result.lines.size())
                      ? SensingGrade::kDegraded
                      : SensingGrade::kFull;
-  return std::move(prep.result);
+  return result;
 }
 
 }  // namespace rfp

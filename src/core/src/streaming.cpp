@@ -9,9 +9,19 @@
 
 namespace rfp {
 
+namespace {
+
+/// Complete ports that let a tag emit a partial round (see StreamingSensor).
+constexpr std::size_t kPartialMinAntennas = 3;
+
+}  // namespace
+
 StreamingSensor::StreamingSensor(const RfPrism& prism, StreamingConfig config,
                                  SensingEngine* engine)
-    : prism_(&prism), config_(std::move(config)), engine_(engine) {
+    : prism_(&prism),
+      config_(std::move(config)),
+      engine_(engine),
+      health_(prism.config().geometry.n_antennas(), config_.health) {
   require(config_.min_channels_per_antenna >= 3,
           "StreamingSensor: need at least 3 channels per antenna");
   require(config_.max_round_age_s > 0.0 && config_.tag_timeout_s > 0.0,
@@ -20,11 +30,6 @@ StreamingSensor::StreamingSensor(const RfPrism& prism, StreamingConfig config,
               config_.max_channels_per_antenna > 0 &&
               config_.max_reads_per_pool > 0,
           "StreamingSensor: memory caps must be positive");
-  require(config_.partial_min_antennas >= 3,
-          "StreamingSensor: partial rounds need >= 3 antennas");
-  if (config_.enable_health_monitor) {
-    health_.emplace(prism_->config().geometry.n_antennas(), config_.health);
-  }
 }
 
 void StreamingSensor::evict_stalest_tag() {
@@ -103,12 +108,10 @@ void StreamingSensor::push(const TagRead& read) {
   }
   ChannelPool& pool = pool_it->second;
 
-  if (config_.drop_duplicates) {
-    for (std::size_t i = 0; i < pool.times.size(); ++i) {
-      if (pool.times[i] == read.time_s && pool.phases[i] == read.phase) {
-        ++stats_.duplicates_dropped;
-        return;
-      }
+  for (std::size_t i = 0; i < pool.times.size(); ++i) {
+    if (pool.times[i] == read.time_s && pool.phases[i] == read.phase) {
+      ++stats_.duplicates_dropped;  // LLRP redelivery
+      return;
     }
   }
 
@@ -141,11 +144,6 @@ void StreamingSensor::push(std::span<const TagRead> reads) {
   for (const TagRead& read : reads) push(read);
 }
 
-bool StreamingSensor::antenna_monitored(std::size_t antenna) const {
-  return !health_ || antenna >= health_->n_antennas() ||
-         health_->healthy(antenna);
-}
-
 bool StreamingSensor::round_complete(const PendingTag& tag,
                                      double now_s) const {
   if (tag.antennas.empty()) return false;
@@ -154,7 +152,7 @@ bool StreamingSensor::round_complete(const PendingTag& tag,
     const bool full =
         tag.antennas[ai].size() >= config_.min_channels_per_antenna;
     if (full) ++complete;
-    if (antenna_monitored(ai)) {
+    if (health_.healthy(ai)) {
       ++monitored;
       if (full) ++monitored_complete;
     }
@@ -163,8 +161,7 @@ bool StreamingSensor::round_complete(const PendingTag& tag,
   // Degraded completion: a solvable subset has been ready for longer than
   // the round-age window while the remaining ports delivered nothing —
   // waiting longer only makes the ready data staler.
-  return config_.emit_partial_rounds &&
-         complete >= config_.partial_min_antennas &&
+  return complete >= kPartialMinAntennas &&
          now_s - tag.first_time_s > config_.max_round_age_s;
 }
 
@@ -236,40 +233,13 @@ std::vector<StreamedResult> StreamingSensor::poll_at(double now_s) {
     ++it;
   }
 
-  // ---- Warm-start hints: predict each completing tag from its track ----
-  // (before sensing; hints are per-tag and independent, so the batch path
-  // stays bit-identical to the sequential path).
-  std::vector<std::optional<Vec3>> hints;
-  if (config_.enable_warm_start && !ids.empty()) {
-    hints.resize(ids.size());
-    const double tag_plane_z = prism_->config().geometry.tag_plane_z;
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      const auto track = tracks_.find(ids[i]);
-      if (track == tracks_.end()) continue;
-      if (completed_at[i] - track->second.last_update_time_s() >
-          config_.warm_start_max_age_s) {
-        continue;
-      }
-      // A maneuvering tag (per the attached trajectory sink's motion
-      // segmentation) solves cold: mid-maneuver the track's prediction
-      // is exactly the hint most likely to mislead the window solve.
-      if (track_sink_ != nullptr && track_sink_->suppress_warm_start(ids[i])) {
-        continue;
-      }
-      if (const std::optional<Vec2> p = track->second.predict(completed_at[i])) {
-        hints[i] = Vec3{p->x, p->y, tag_plane_z};
-      }
-    }
-  }
-
   // ---- Phase 2: sense + account -----------------------------------------
   // All completing tags of this poll in one call, each against the
   // port-health and drift state from the start of the poll. Per-round
   // results are bit-identical for any thread count, engine or none.
-  const AntennaHealthMonitor* monitor = health_ ? &*health_ : nullptr;
   std::vector<SensingResult> sensed;
   try {
-    sensed = prism_->sense_batch(rounds, ids, engine_, monitor, hints);
+    sensed = prism_->sense_batch(rounds, ids, engine_, &health_);
   } catch (const Error&) {
     // A structurally unsolvable assembly (cannot normally happen — push
     // validates geometry) fails the whole call: redo it round by round so
@@ -278,10 +248,8 @@ std::vector<StreamedResult> StreamingSensor::poll_at(double now_s) {
     sensed.assign(rounds.size(), SensingResult{});
     for (std::size_t i = 0; i < rounds.size(); ++i) {
       try {
-        using Hints = std::span<const std::optional<Vec3>>;
         sensed[i] = std::move(prism_->sense_batch(
-            {&rounds[i], 1}, {&ids[i], 1}, engine_, monitor,
-            hints.empty() ? Hints{} : Hints(&hints[i], 1))[0]);
+            {&rounds[i], 1}, {&ids[i], 1}, engine_, &health_)[0]);
       } catch (const Error&) {
       }
     }
@@ -293,14 +261,6 @@ std::vector<StreamedResult> StreamingSensor::poll_at(double now_s) {
     emitted.tag_id = std::move(ids[i]);
     emitted.completed_at_s = completed_at[i];
     emitted.result = std::move(sensed[i]);
-    if (config_.enable_warm_start && emitted.result.valid) {
-      Tracker& track = tracks_[emitted.tag_id];
-      // Guard the tracker's monotonic-time contract against out-of-order
-      // completion times (possible across polls with a hostile stream).
-      if (emitted.completed_at_s >= track.last_update_time_s()) {
-        track.update(emitted.result, emitted.completed_at_s);
-      }
-    }
     ++stats_.rounds_emitted;
     switch (emitted.result.grade) {
       case SensingGrade::kFull:
@@ -329,32 +289,9 @@ std::vector<StreamedResult> StreamingSensor::poll_at(double now_s) {
         }
         break;
     }
-    if (health_) {
-      health_->observe_round(emitted.result, config_.min_channels_per_antenna);
-    }
+    health_.observe_round(emitted.result, config_.min_channels_per_antenna);
     prism_->observe_drift(emitted.result);
     out.push_back(std::move(emitted));
-  }
-
-  // ---- Track maintenance: same bounds discipline as pending_ ----------
-  if (config_.enable_warm_start) {
-    for (auto it = tracks_.begin(); it != tracks_.end();) {
-      if (now_s - it->second.last_update_time_s() > config_.tag_timeout_s) {
-        it = tracks_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    while (tracks_.size() > config_.max_pending_tags) {
-      auto stalest = tracks_.begin();
-      for (auto it = tracks_.begin(); it != tracks_.end(); ++it) {
-        if (it->second.last_update_time_s() <
-            stalest->second.last_update_time_s()) {
-          stalest = it;
-        }
-      }
-      tracks_.erase(stalest);
-    }
   }
 
   std::sort(out.begin(), out.end(),
@@ -388,10 +325,9 @@ std::size_t StreamingSensor::buffered_reads() const {
 
 void StreamingSensor::clear() {
   pending_.clear();
-  tracks_.clear();
   stats_ = {};
   high_water_s_ = 0.0;
-  if (health_) health_->reset();
+  health_.reset();
 }
 
 std::vector<TagRead> round_to_reads(const RoundTrace& round,

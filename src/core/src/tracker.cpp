@@ -96,12 +96,6 @@ std::optional<TrackState> Tracker::state() const {
   return s;
 }
 
-std::optional<Vec2> Tracker::predict(double time_s) const {
-  if (!initialized_) return std::nullopt;
-  const double dt = std::max(time_s - last_time_s, 0.0);
-  return Vec2{x_[0] + dt * x_[2], x_[1] + dt * x_[3]};
-}
-
 std::optional<TrackState> Tracker::predict_state(double time_s) const {
   if (!initialized_) return std::nullopt;
   const double dt = std::max(time_s - last_time_s, 0.0);

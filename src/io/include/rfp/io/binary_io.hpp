@@ -69,11 +69,5 @@ std::vector<std::uint8_t> encode_round(const RoundTrace& round);
 bool decode_round(std::span<const std::uint8_t> data, RoundTrace& out);
 std::vector<std::uint8_t> encode_result(const SensingResult& result);
 bool decode_result(std::span<const std::uint8_t> data, SensingResult& out);
-std::vector<std::uint8_t> encode_geometry(const DeploymentGeometry& geometry);
-bool decode_geometry(std::span<const std::uint8_t> data,
-                     DeploymentGeometry& out);
-std::vector<std::uint8_t> encode_calibration_db(const CalibrationDB& db);
-bool decode_calibration_db(std::span<const std::uint8_t> data,
-                           CalibrationDB& out);
 
 }  // namespace rfp

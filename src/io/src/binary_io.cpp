@@ -322,30 +322,4 @@ bool decode_result(std::span<const std::uint8_t> data, SensingResult& out) {
   return read_result(r, out) && r.exhausted();
 }
 
-std::vector<std::uint8_t> encode_geometry(const DeploymentGeometry& geometry) {
-  std::vector<std::uint8_t> out;
-  ByteWriter w(out);
-  append_geometry(w, geometry);
-  return out;
-}
-
-bool decode_geometry(std::span<const std::uint8_t> data,
-                     DeploymentGeometry& out) {
-  ByteReader r(data);
-  return read_geometry(r, out) && r.exhausted();
-}
-
-std::vector<std::uint8_t> encode_calibration_db(const CalibrationDB& db) {
-  std::vector<std::uint8_t> out;
-  ByteWriter w(out);
-  append_calibration_db(w, db);
-  return out;
-}
-
-bool decode_calibration_db(std::span<const std::uint8_t> data,
-                           CalibrationDB& out) {
-  ByteReader r(data);
-  return read_calibration_db(r, out) && r.exhausted();
-}
-
 }  // namespace rfp

@@ -30,11 +30,11 @@
 ///
 /// Tenancy: a DeploymentRegistry resolves each session's shipped
 /// deployment (wire v2 kSessionSetup) to a per-tenant RfPrism, which owns
-/// the deployment's drift estimate; the engine's thread pool, workspaces,
-/// and GridGeometryCache are shared across every tenant. A connection starts
-/// bound to the *default* tenant (the prism the server was built with),
-/// so v2 clients that never set up a session get the pre-tenancy
-/// behaviour unchanged. Streaming sessions (kStreamPush) run a
+/// the deployment's drift estimate; the engine's thread pool and
+/// workspaces, and GridGeometryCache::shared(), serve every tenant. A
+/// connection starts bound to the *default* tenant (the prism the server
+/// was built with), so v2 clients that never set up a session get the
+/// pre-tenancy behaviour unchanged. Streaming sessions (kStreamPush) run a
 /// per-connection StreamingSensor over the session's tenant, driven
 /// inline on the owning reactor — pushes of one session are naturally
 /// serialized, and the engine still fans the completing tags' solves

@@ -131,9 +131,6 @@ class TrackingEngine final : public TrackSink {
   /// (ascending tag id).
   void advance(double now_s);
 
-  /// TrackSink: a maneuvering tag must not seed warm-started solves.
-  bool suppress_warm_start(const std::string& tag_id) const override;
-
   /// Drain the accumulated event stream (in emission order).
   std::vector<TrackEvent> take_events();
 

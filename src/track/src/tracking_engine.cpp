@@ -146,8 +146,8 @@ void TrackingEngine::observe(const StreamedResult& emission) {
                                  : 1.0;
   double innovation2 = 0.0;
   bool accepted = false;
-  // Same monotonic-time guard as the streaming warm-start tracks: a
-  // hostile stream can complete rounds out of order across polls.
+  // Monotonic-time guard: a hostile stream can complete rounds out of
+  // order across polls.
   if (t >= track.position.last_update_time_s()) {
     accepted = track.position.update(result, t, noise_scale, &innovation2);
   }
@@ -226,12 +226,6 @@ void TrackingEngine::advance(double now_s) {
     }
     ++it;
   }
-}
-
-bool TrackingEngine::suppress_warm_start(const std::string& tag_id) const {
-  const auto it = tracks_.find(tag_id);
-  return it != tracks_.end() &&
-         it->second.segmenter.label() != MotionLabel::kStatic;
 }
 
 std::vector<TrackEvent> TrackingEngine::take_events() {

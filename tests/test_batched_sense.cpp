@@ -1,15 +1,16 @@
-/// Tag-batched Stage-A contract (DESIGN.md "Solver acceleration"): a
-/// sense_batch over B rounds ranks all tags against one cached distance
-/// table (solve_position_batch), and the results must be
+/// Batch-sensing contract (DESIGN.md "Solver acceleration"): a
+/// sense_batch over B rounds senses each round start to finish in its own
+/// task against one cached distance table, and the results must be
 /// byte-identical to sensing each round sequentially — across thread
 /// counts, faulted corpora spanning full/degraded/rejected grades,
-/// warm-hint mixes, per-round tag ids, and singleton batches. Also covers
-/// the hoisted one-acquire-per-batch cache behaviour.
+/// per-round tag ids, and singleton batches. Also covers the hoisted
+/// one-acquire-per-batch cache behaviour and the one-round solve's
+/// unsolvable-round report.
 
 #include "rfp/core/pipeline.hpp"
 
 #include <cstddef>
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -100,7 +101,7 @@ std::vector<AntennaLine> exact_lines(const DeploymentGeometry& geometry,
 }
 
 // ---------------------------------------------------------------------------
-// sense_batch: batched Stage A byte-identical to sequential sensing
+// sense_batch: byte-identical to sequential sensing
 // ---------------------------------------------------------------------------
 
 TEST(BatchedSense, MatchesSequentialAcrossThreadsAndKernels) {
@@ -171,53 +172,6 @@ TEST(BatchedSense, DegenerateGridFailsEveryRoundLikeSense) {
   }
 }
 
-TEST(BatchedSense, WarmHintMixMatchesPerRoundWarmSense) {
-  // Some rounds hinted (well and badly), some cold, in one batch: each
-  // result must equal the per-round outcome (a hinted batch of one, or
-  // sense) exactly.
-  TestbedConfig config;
-  config.n_antennas = 4;
-  Testbed bed(config);
-  const std::vector<RoundTrace> corpus = make_corpus(bed, 5, 3, 0x3A3);
-  const RfPrism& prism = bed.prism();
-
-  // First pass: learn positions to hint with.
-  std::vector<SensingResult> cold;
-  for (const RoundTrace& round : corpus) {
-    cold.push_back(prism.sense(round, bed.tag_id()));
-  }
-  std::vector<std::optional<Vec3>> hints(corpus.size());
-  for (std::size_t k = 0; k < corpus.size(); ++k) {
-    if (k % 3 == 0 && cold[k].valid) {
-      hints[k] = cold[k].position;  // good hint → warm path
-    } else if (k % 3 == 1) {
-      hints[k] = Vec3{-50.0, -50.0, 0.0};  // hopeless hint → cold fallback
-    }  // else: no hint
-  }
-  std::vector<std::string> tag_ids(corpus.size(), bed.tag_id());
-
-  std::vector<SensingResult> reference;
-  for (std::size_t k = 0; k < corpus.size(); ++k) {
-    if (hints[k].has_value()) {
-      reference.push_back(prism.sense_batch({&corpus[k], 1}, {&tag_ids[k], 1},
-                                            nullptr, nullptr,
-                                            {&hints[k], 1})[0]);
-    } else {
-      reference.push_back(prism.sense(corpus[k], bed.tag_id()));
-    }
-  }
-  for (std::size_t threads : {1u, 4u}) {
-    SensingEngine engine(threads);
-    const auto batch =
-        prism.sense_batch(corpus, tag_ids, &engine, nullptr, hints);
-    for (std::size_t k = 0; k < corpus.size(); ++k) {
-      expect_identical(batch[k], reference[k],
-                       "threads=" + std::to_string(threads) + " round " +
-                           std::to_string(k));
-    }
-  }
-}
-
 TEST(BatchedSense, PerRoundTagIdsApplyCalibrationsIndividually) {
   TestbedConfig config;
   config.n_antennas = 4;
@@ -247,62 +201,23 @@ TEST(BatchedSense, BatchAcquiresTableOnce) {
   const std::vector<RoundTrace> corpus = make_corpus(bed, 6, 0, 0x0CE);
   const RfPrism& prism = bed.prism();
   SensingEngine engine(2);
+  const auto lookups = [] {
+    const GridGeometryCache::Stats stats = GridGeometryCache::shared().stats();
+    return stats.hits + stats.misses;
+  };
+  const std::uint64_t before = lookups();
   (void)prism.sense_batch(corpus, engine, bed.tag_id());
-  const GridGeometryCache::Stats after = engine.geometry_cache().stats();
-  EXPECT_EQ(after.hits + after.misses, 1u)
+  EXPECT_EQ(lookups(), before + 1)
       << "batched path must acquire the shared table exactly once";
+  const std::uint64_t builds = GridGeometryCache::shared().stats().builds;
   (void)prism.sense_batch(corpus, engine, bed.tag_id());
-  const GridGeometryCache::Stats again = engine.geometry_cache().stats();
-  EXPECT_EQ(again.hits + again.misses, 2u);
-  EXPECT_EQ(again.builds, 1u);
+  EXPECT_EQ(lookups(), before + 2);
+  EXPECT_EQ(GridGeometryCache::shared().stats().builds, builds);
 }
 
 // ---------------------------------------------------------------------------
-// solve_position_batch: layer-level contracts
+// try_solve_position: layer-level contracts
 // ---------------------------------------------------------------------------
-
-TEST(BatchedSolve, SolvePositionBatchMatchesPerTag) {
-  const Scene scene = make_scene_2d(77);
-  const DeploymentGeometry geometry = exact_geometry(scene);
-  DisentangleConfig config;
-  SolveWorkspace ws;
-  GridGeometryCache cache;
-  const std::size_t nz = config.grid_nz > 1 ? config.grid_nz : 1;
-  const auto table = cache.acquire(
-      geometry,
-      GridSpec{config.grid_nx, config.grid_ny, nz, config.z_lo, config.z_hi});
-
-  Rng rng(909);
-  std::vector<std::vector<AntennaLine>> all_lines;
-  for (std::size_t b = 0; b < 6; ++b) {
-    const Vec3 truth{0.3 + 1.4 * rng.uniform(), 0.3 + 1.4 * rng.uniform(),
-                     0.0};
-    all_lines.push_back(exact_lines(geometry, truth,
-                                    planar_polarization(rng.uniform(0.0, kPi)),
-                                    2e-9 * rng.uniform(), 1.1));
-  }
-  std::vector<BatchedRankRequest> requests;
-  for (const auto& lines : all_lines) {
-    requests.push_back(BatchedRankRequest{lines, nullptr});
-  }
-  std::vector<PositionSolve> out(requests.size());
-  std::vector<std::uint8_t> solved(requests.size(), 0);
-  solve_position_batch(geometry, requests, config, ws, nullptr, *table, out,
-                       solved);
-  for (std::size_t b = 0; b < requests.size(); ++b) {
-    SCOPED_TRACE("tag " + std::to_string(b));
-    ASSERT_EQ(solved[b], 1);
-    const PositionSolve single = solve_position(geometry, all_lines[b], config,
-                                                ws, nullptr, &cache, nullptr);
-    EXPECT_EQ(out[b].position.x, single.position.x);
-    EXPECT_EQ(out[b].position.y, single.position.y);
-    EXPECT_EQ(out[b].position.z, single.position.z);
-    EXPECT_EQ(out[b].kt, single.kt);
-    EXPECT_EQ(out[b].rms, single.rms);
-    EXPECT_EQ(out[b].path, single.path);
-    EXPECT_EQ(out[b].cells_scanned, single.cells_scanned);
-  }
-}
 
 TEST(BatchedSolve, TooFewLinesMarksUnsolvedInsteadOfThrowing) {
   const Scene scene = make_scene_2d(78);
@@ -317,18 +232,21 @@ TEST(BatchedSolve, TooFewLinesMarksUnsolvedInsteadOfThrowing) {
   const auto good = exact_lines(geometry, Vec3{0.7, 1.1, 0.0},
                                 planar_polarization(0.4), 1e-9, 0.8);
   std::vector<AntennaLine> starved(good.begin(), good.begin() + 2);
-  std::vector<BatchedRankRequest> requests{
-      BatchedRankRequest{good, nullptr}, BatchedRankRequest{starved, nullptr},
-      BatchedRankRequest{good, nullptr}};
-  std::vector<PositionSolve> out(3);
-  std::vector<std::uint8_t> solved(3, 9);
-  solve_position_batch(geometry, requests, config, ws, nullptr, *table, out,
-                       solved);
-  EXPECT_EQ(solved[0], 1);
-  EXPECT_EQ(solved[1], 0);  // solve_position throws on this round alone
-  EXPECT_EQ(solved[2], 1);
-  EXPECT_EQ(out[0].position.x, out[2].position.x);
-  EXPECT_EQ(out[0].rms, out[2].rms);
+  std::vector<AntennaLine> unknown = good;
+  unknown[0].antenna = geometry.n_antennas();
+  const auto first =
+      try_solve_position(geometry, good, config, ws, nullptr, *table);
+  EXPECT_FALSE(try_solve_position(geometry, starved, config, ws, nullptr,
+                                  *table).has_value());
+  EXPECT_FALSE(try_solve_position(geometry, unknown, config, ws, nullptr,
+                                  *table).has_value());
+  EXPECT_THROW(solve_position(geometry, starved, config, ws, nullptr, &cache),
+               InvalidArgument);
+  const auto again =
+      try_solve_position(geometry, good, config, ws, nullptr, *table);
+  ASSERT_TRUE(first.has_value() && again.has_value());
+  EXPECT_EQ(first->position.x, again->position.x);
+  EXPECT_EQ(first->rms, again->rms);
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 /// Randomized equivalence of the production Stage-A solve with the
-/// canonical scan. An unrefined solve_position_batch must land on
+/// canonical scan. An unrefined try_solve_position must land on
 /// rank_canonical's winning cell with bit-identical kt and rms at every
-/// batch size and pool size — this suite hammers that over thousands of
-/// random rounds: random geometries, degraded antenna subsets, duplicated
-/// antennas (multi-line rounds), slope outliers, and NaN-poisoned lines.
+/// pool size — this suite hammers that over thousands of random rounds:
+/// random geometries, degraded antenna subsets, duplicated antennas
+/// (multi-line rounds), slope outliers, and NaN-poisoned lines. Rounds are
+/// solved in sequence on one workspace, so a round after a poisoned one
+/// also shows that no workspace state leaks from solve to solve.
 
 #include "rfp/core/disentangle.hpp"
 
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -118,22 +121,15 @@ DisentangleConfig unrefined_config() {
   return config;
 }
 
-/// Unrefined production solve of `rounds` as one batch, sequential when
+/// Unrefined production solve of one round on `ws`, sequential when
 /// `pool` is null or single-threaded and fanned out by row chunks
 /// otherwise.
-void solve_batch(const DeploymentGeometry& geometry, const GridTable& table,
-                 const std::vector<std::vector<AntennaLine>>& rounds,
-                 ThreadPool* pool, SolveWorkspace& ws,
-                 std::vector<PositionSolve>& out,
-                 std::vector<std::uint8_t>& solved) {
-  std::vector<BatchedRankRequest> requests;
-  for (const auto& lines : rounds) {
-    requests.push_back(BatchedRankRequest{lines, nullptr});
-  }
-  out.assign(rounds.size(), PositionSolve{});
-  solved.assign(rounds.size(), 0);
-  solve_position_batch(geometry, requests, unrefined_config(), ws, pool,
-                       table, out, solved);
+std::optional<PositionSolve> solve_round(const DeploymentGeometry& geometry,
+                                         const GridTable& table,
+                                         const std::vector<AntennaLine>& lines,
+                                         ThreadPool* pool, SolveWorkspace& ws) {
+  return try_solve_position(geometry, lines, unrefined_config(), ws, pool,
+                            table);
 }
 
 void expect_same_rank(const StageARank& canonical, const PositionSolve& solve,
@@ -141,7 +137,6 @@ void expect_same_rank(const StageARank& canonical, const PositionSolve& solve,
                       const std::string& where) {
   SCOPED_TRACE(where);
   const Vec3 cell = table.cell_position(canonical.cell);
-  EXPECT_EQ(solve.path, SolvePath::kExhaustive);
   EXPECT_EQ(solve.cells_scanned, table.n_cells());
   EXPECT_EQ(solve.position.x, cell.x);
   EXPECT_EQ(solve.position.y, cell.y);
@@ -168,53 +163,44 @@ TEST(StageARanking, MatchesCanonicalOverRandomRounds) {
   knobs.nan_prob = 0.01;
   knobs.unusable_prob = 0.1;
 
-  // Batch sizes and deployments cycle independently, so every size meets
-  // every antenna count. Rounds of one batch share the deployment but drop
-  // and duplicate different antennas, so their line counts differ.
-  const std::size_t batch_sizes[] = {1, 2, 7, 16};
-  constexpr std::size_t kBatches = 1200;
+  // Deployments cycle round by round, so every antenna count meets the
+  // whole corpus mix; rounds drop and duplicate different antennas, so
+  // their line counts differ. Every round, poisoned or clean, is solved
+  // on the one workspace `ws` at every pool size.
+  constexpr std::size_t kRounds = 1200;
   std::size_t ranked = 0;
   std::size_t poisoned = 0;
-  std::vector<PositionSolve> out;
-  std::vector<std::uint8_t> solved;
-  for (std::size_t batch = 0; batch < kBatches && !HasFailure(); ++batch) {
-    const Deployment& dep = deployments[batch % deployments.size()];
-    const std::size_t size = batch_sizes[batch % std::size(batch_sizes)];
-    const std::string where = "batch " + std::to_string(batch);
-
-    std::vector<std::vector<AntennaLine>> rounds;
-    while (rounds.size() < size) {
-      std::vector<AntennaLine> lines = random_lines(rng, dep.geometry, knobs);
-      if (usable_count(lines) < 3) continue;  // solver precondition
-      if (any_usable_nan(lines)) {
-        // A NaN slope poisons every cell's cost: the oracle refuses the
-        // round (the production fallback is pinned in its own case below).
-        EXPECT_THROW(rank_canonical(dep.geometry, lines, *dep.table, ws),
-                     InvalidArgument)
-            << where;
-        ++poisoned;
-        continue;
+  for (std::size_t k = 0; ranked + poisoned < kRounds && !HasFailure(); ++k) {
+    const Deployment& dep = deployments[k % deployments.size()];
+    const std::vector<AntennaLine> lines =
+        random_lines(rng, dep.geometry, knobs);
+    if (usable_count(lines) < 3) continue;  // solver precondition
+    const std::string where = "round " + std::to_string(k);
+    if (any_usable_nan(lines)) {
+      // A NaN slope poisons every cell's cost: the oracle refuses the
+      // round, and the solve falls back to the region center.
+      EXPECT_THROW(rank_canonical(dep.geometry, lines, *dep.table, ws),
+                   InvalidArgument)
+          << where;
+      for (ThreadPool* pool : pools) {
+        const auto solve =
+            solve_round(dep.geometry, *dep.table, lines, pool, ws);
+        ASSERT_TRUE(solve.has_value()) << where;
+        EXPECT_TRUE(std::isnan(solve->rms)) << where;
       }
-      rounds.push_back(std::move(lines));
+      ++poisoned;
+      continue;
     }
-
-    std::vector<StageARank> canonical;
-    for (const auto& lines : rounds) {
-      canonical.push_back(rank_canonical(dep.geometry, lines, *dep.table, ws));
-    }
+    const StageARank canonical =
+        rank_canonical(dep.geometry, lines, *dep.table, ws);
     for (ThreadPool* pool : pools) {
-      solve_batch(dep.geometry, *dep.table, rounds, pool, ws, out, solved);
-      for (std::size_t b = 0; b < size; ++b) {
-        ASSERT_EQ(solved[b], 1) << where << " tag " << b;
-        expect_same_rank(canonical[b], out[b], *dep.table,
-                         usable_count(rounds[b]),
-                         where + " tag " + std::to_string(b) + " pool " +
-                             std::to_string(pool->size()));
-      }
+      const auto solve = solve_round(dep.geometry, *dep.table, lines, pool, ws);
+      ASSERT_TRUE(solve.has_value()) << where;
+      expect_same_rank(canonical, *solve, *dep.table, usable_count(lines),
+                       where + " pool " + std::to_string(pool->size()));
     }
-    ranked += size;
+    ++ranked;
   }
-  EXPECT_GE(ranked, kBatches * 6);
   EXPECT_GT(poisoned, 0u) << "corpus never drew a NaN-poisoned round";
 }
 
@@ -237,17 +223,16 @@ TEST(StageARanking, SingleAntennaRoundsStillAgree) {
     lines.push_back(line);
   }
   const StageARank canonical = rank_canonical(geometry, lines, *table, ws);
-  std::vector<PositionSolve> out;
-  std::vector<std::uint8_t> solved;
-  solve_batch(geometry, *table, {lines}, nullptr, ws, out, solved);
-  ASSERT_EQ(solved[0], 1);
-  expect_same_rank(canonical, out[0], *table, lines.size(), "single antenna");
+  const auto solve = solve_round(geometry, *table, lines, nullptr, ws);
+  ASSERT_TRUE(solve.has_value());
+  expect_same_rank(canonical, *solve, *table, lines.size(), "single antenna");
 }
 
 TEST(StageARanking, NaNPoisonedRoundFallsBackAloneInItsBatch) {
   // A NaN slope poisons every cell's cost: the oracle finds no finite
   // cell, and the production solve falls back to the region center for
-  // that round alone — its clean batch-mates keep the canonical winner.
+  // that round alone — clean rounds solved around it on the same
+  // workspace keep the canonical winner.
   GridGeometryCache cache;
   SolveWorkspace ws;
   Rng rng(mix_seed(23, 0xBAD));
@@ -265,15 +250,17 @@ TEST(StageARanking, NaNPoisonedRoundFallsBackAloneInItsBatch) {
   ThreadPool pool(2);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
     SCOPED_TRACE(p == nullptr ? "sequential" : "pool 2");
-    std::vector<PositionSolve> out;
-    std::vector<std::uint8_t> solved;
-    solve_batch(geometry, *table, {clean, lines, clean}, p, ws, out, solved);
-    ASSERT_EQ(solved[1], 1);
-    EXPECT_EQ(out[1].position.x, geometry.working_region.center().x);
-    EXPECT_EQ(out[1].position.y, geometry.working_region.center().y);
-    EXPECT_TRUE(std::isnan(out[1].rms));
-    expect_same_rank(canonical, out[0], *table, usable_count(clean), "tag 0");
-    expect_same_rank(canonical, out[2], *table, usable_count(clean), "tag 2");
+    const auto before = solve_round(geometry, *table, clean, p, ws);
+    const auto poisoned = solve_round(geometry, *table, lines, p, ws);
+    const auto after = solve_round(geometry, *table, clean, p, ws);
+    ASSERT_TRUE(before.has_value() && poisoned.has_value() &&
+                after.has_value());
+    EXPECT_EQ(poisoned->position.x, geometry.working_region.center().x);
+    EXPECT_EQ(poisoned->position.y, geometry.working_region.center().y);
+    EXPECT_TRUE(std::isnan(poisoned->rms));
+    expect_same_rank(canonical, *before, *table, usable_count(clean),
+                     "before");
+    expect_same_rank(canonical, *after, *table, usable_count(clean), "after");
   }
 }
 
@@ -288,16 +275,12 @@ TEST(StageARanking, RejectsTooFewLinesAndMismatchedTable) {
   const auto lines = random_lines(rng, geometry, clean);
   const std::vector<AntennaLine> two(lines.begin(), lines.begin() + 2);
   EXPECT_THROW(rank_canonical(geometry, two, *table, ws), InvalidArgument);
-  std::vector<PositionSolve> out;
-  std::vector<std::uint8_t> solved;
-  solve_batch(geometry, *table, {lines, two}, nullptr, ws, out, solved);
-  EXPECT_EQ(solved[0], 1);
-  EXPECT_EQ(solved[1], 0);
+  EXPECT_TRUE(solve_round(geometry, *table, lines, nullptr, ws).has_value());
+  EXPECT_FALSE(solve_round(geometry, *table, two, nullptr, ws).has_value());
 
   const DeploymentGeometry other = random_geometry(rng, 6);
   const auto other_table = cache.acquire(other, GridSpec{21, 21, 1, 0.0, 0.0});
-  EXPECT_THROW(solve_batch(geometry, *other_table, {lines}, nullptr, ws, out,
-                           solved),
+  EXPECT_THROW(solve_round(geometry, *other_table, lines, nullptr, ws),
                InvalidArgument);
   EXPECT_THROW(rank_canonical(geometry, lines, *other_table, ws),
                InvalidArgument);

@@ -312,14 +312,14 @@ TEST(TrackLifecycle, CapacityEvictsTheStalestTrack) {
   EXPECT_FALSE(engine.track("a").has_value());
 }
 
-TEST(TrackLifecycle, MobilityRejectSuppressesWarmStart) {
+TEST(TrackLifecycle, MobilityRejectLabelsTagMoving) {
   TrackingEngine engine;
   engine.observe(fix("tag", 0.0, {1.0, 1.0}));
-  EXPECT_FALSE(engine.suppress_warm_start("tag"));
-  EXPECT_FALSE(engine.suppress_warm_start("unknown"));
+  EXPECT_EQ(engine.track("tag")->label, MotionLabel::kStatic);
+  EXPECT_FALSE(engine.track("unknown").has_value());
 
   engine.observe(mobility_reject("tag", 10.0));
-  EXPECT_TRUE(engine.suppress_warm_start("tag"));
+  EXPECT_EQ(engine.track("tag")->label, MotionLabel::kMoving);
   const auto events = engine.take_events();
   EXPECT_EQ(events.back().label, MotionLabel::kMoving);
   EXPECT_FALSE(events.back().fix_accepted);
@@ -327,7 +327,7 @@ TEST(TrackLifecycle, MobilityRejectSuppressesWarmStart) {
   // Two consecutive quiet rounds clear the label (hysteresis hold).
   engine.observe(fix("tag", 20.0, {1.0, 1.0}));
   engine.observe(fix("tag", 30.0, {1.0, 1.0}));
-  EXPECT_FALSE(engine.suppress_warm_start("tag"));
+  EXPECT_EQ(engine.track("tag")->label, MotionLabel::kStatic);
 }
 
 TEST(TrackLifecycle, StaleFixDoesNotRewindTheFilter) {
@@ -395,8 +395,7 @@ TEST(TrackDeterminism, SameEmissionsSameEventBytes) {
 
 TEST(TrackDeterminism, AttachedSinkLeavesEmissionsByteIdentical) {
   // The tracking seam must be observational: a StreamingSensor with a
-  // TrackingEngine attached emits bit-identical results to one without
-  // (for a static fleet the warm-start suppression never engages).
+  // TrackingEngine attached emits bit-identical results to one without.
   static const Testbed bed;
   const TagState state = bed.tag_state({0.8, 1.2}, 0.5, "glass");
   const auto reads = round_to_reads(bed.collect(state, 77), bed.tag_id());

@@ -20,7 +20,6 @@ SensingResult fix_at(Vec2 p) {
 TEST(Tracker, UninitializedHasNoState) {
   Tracker tracker;
   EXPECT_FALSE(tracker.state().has_value());
-  EXPECT_FALSE(tracker.predict(1.0).has_value());
 }
 
 TEST(Tracker, FirstFixInitializes) {
@@ -53,9 +52,9 @@ TEST(Tracker, LearnsConstantVelocity) {
   EXPECT_NEAR(state->velocity.x, 0.05, 0.01);
   EXPECT_NEAR(state->velocity.y, -0.02, 0.01);
   // Prediction extrapolates.
-  const auto predicted = tracker.predict(120.0);
+  const auto predicted = tracker.predict_state(120.0);
   ASSERT_TRUE(predicted.has_value());
-  EXPECT_NEAR(predicted->x, 0.5 + 0.05 * 120.0, 0.05);
+  EXPECT_NEAR(predicted->position.x, 0.5 + 0.05 * 120.0, 0.05);
 }
 
 TEST(Tracker, SmoothsNoisyFixes) {
@@ -135,8 +134,6 @@ TEST(Tracker, PredictStateGrowsVarianceWhileCoasting) {
   EXPECT_GT(even_later->position_variance, later->position_variance);
   // state() itself must stay frozen at the posterior.
   EXPECT_EQ(tracker.state()->position_variance, posterior->position_variance);
-  // The prediction mean agrees with predict().
-  EXPECT_EQ(later->position, *tracker.predict(250.0));
 }
 
 TEST(Tracker, PredictStateBeforeFirstFixIsEmpty) {

@@ -85,7 +85,7 @@ int usage() {
                "  rfprism materials\n"
                "  rfprism stream [--rounds N] [--fault-intensity X]\n"
                "                 [--dead PORT] [--antennas N] [--seed S]\n"
-               "                 [--warm] [--drift] [--track]\n"
+               "                 [--drift] [--track]\n"
                "                 [--host H] [--port N] [--timeout SEC]\n"
                "  rfprism batch [--rounds N] [--threads N] [--material NAME|all]\n"
                "                [--multipath] [--seed S] [--verify]\n"
@@ -417,7 +417,6 @@ struct StreamOptions {
   std::optional<std::size_t> dead_port;
   std::size_t antennas = 4;
   std::uint64_t seed = 42;
-  bool warm = false;   ///< track-seeded warm-start solves
   bool drift = false;  ///< inject LO drift + run online self-calibration
   bool track = false;  ///< run a TrackingEngine over the emission stream
   // Remote mode (--port): ship the deployment over a wire-v2 session and
@@ -437,9 +436,6 @@ int run_stream(const StreamOptions& options) {
   config.seed = options.seed;
   config.n_antennas = options.antennas;
   Testbed bed(config);
-  StreamingConfig streaming_config;
-  streaming_config.enable_warm_start = options.warm;
-
   // With --drift the sensing pipeline runs its online self-calibration
   // loop (the StreamingSensor feeds the prism's estimator) against
   // injected per-antenna LO drift.
@@ -477,7 +473,7 @@ int run_stream(const StreamOptions& options) {
                    "(run it with --track)\n");
     }
   } else {
-    sensor.emplace(*prism, streaming_config);
+    sensor.emplace(*prism);
     if (options.track) {
       track::TrackingConfig tracking;
       tracking.enable = true;
@@ -593,16 +589,15 @@ int run_stream(const StreamOptions& options) {
   std::printf("  tags timed out     %llu\n",
               static_cast<unsigned long long>(stats.tags_timed_out));
 
-  if (const AntennaHealthMonitor* health = sensor->health()) {
-    std::printf("\nport health\n");
-    for (std::size_t a = 0; a < health->n_antennas(); ++a) {
-      const PortHealth& port = health->port(a);
-      std::printf("  port %zu  %-12s rmse %.3f  read rate %.2f  "
-                  "exclusion rate %.2f  rounds %zu\n",
-                  a, port.quarantined ? "QUARANTINED" : "healthy",
-                  port.ewma_rmse, port.ewma_read_rate,
-                  port.ewma_exclusion_rate, port.rounds_observed);
-    }
+  std::printf("\nport health\n");
+  const AntennaHealthMonitor& health = sensor->health();
+  for (std::size_t a = 0; a < health.n_antennas(); ++a) {
+    const PortHealth& port = health.port(a);
+    std::printf("  port %zu  %-12s rmse %.3f  read rate %.2f  "
+                "exclusion rate %.2f  rounds %zu\n",
+                a, port.quarantined ? "QUARANTINED" : "healthy",
+                port.ewma_rmse, port.ewma_read_rate, port.ewma_exclusion_rate,
+                port.rounds_observed);
   }
 
   if (prism->drift_enabled()) {
@@ -945,8 +940,6 @@ int main(int argc, char** argv) {
           options.antennas = std::stoull(next());
         } else if (arg == "--seed") {
           options.seed = std::stoull(next());
-        } else if (arg == "--warm") {
-          options.warm = true;
         } else if (arg == "--drift") {
           options.drift = true;
         } else if (arg == "--track") {
