@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 
+#include "rfp/common/angles.hpp"
 #include "rfp/common/constants.hpp"
 #include "rfp/common/error.hpp"
 #include "rfp/core/preprocess.hpp"
@@ -12,24 +13,41 @@
 
 namespace rfp {
 
+namespace {
+
+/// Mean RSSI of `antenna` over `round` [dBm]: the average of its dwells'
+/// mean reports (dwells without reports are skipped). Throws
+/// InvalidArgument when no dwell of the antenna carries one.
+double antenna_mean_rssi(const RoundTrace& round, std::size_t antenna) {
+  double sum = 0.0;
+  std::size_t n = 0;
+  for (const Dwell& dwell : round.dwells) {
+    if (dwell.antenna != antenna || dwell.rssi_dbm.empty()) continue;
+    sum += mean(std::span<const double>(dwell.rssi_dbm));
+    ++n;
+  }
+  require(n > 0, "Tagtag: antenna has no RSSI reports");
+  return sum / static_cast<double>(n);
+}
+
+}  // namespace
+
 Tagtag::Tagtag(TagtagConfig config) : config_(std::move(config)) {
   require(config_.knn_k >= 1, "Tagtag: knn_k must be >= 1");
 }
 
 void Tagtag::calibrate_link(const RoundTrace& round, double known_distance_m) {
   require(known_distance_m > 0.0, "Tagtag: bad calibration distance");
-  const std::vector<AntennaTrace> traces = preprocess_round(round);
-  require(config_.antenna < traces.size(), "Tagtag: antenna out of range");
-  rssi_ref_dbm_ = trace_mean_rssi(traces[config_.antenna]);
+  require(config_.antenna < round.n_antennas, "Tagtag: antenna out of range");
+  rssi_ref_dbm_ = antenna_mean_rssi(round, config_.antenna);
   d_ref_ = known_distance_m;
   link_calibrated_ = true;
 }
 
 double Tagtag::estimate_distance(const RoundTrace& round) const {
   if (!link_calibrated_) throw Error("Tagtag: calibrate_link() first");
-  const std::vector<AntennaTrace> traces = preprocess_round(round);
-  require(config_.antenna < traces.size(), "Tagtag: antenna out of range");
-  const double rssi = trace_mean_rssi(traces[config_.antenna]);
+  require(config_.antenna < round.n_antennas, "Tagtag: antenna out of range");
+  const double rssi = antenna_mean_rssi(round, config_.antenna);
   // Round-trip free-space model: RSSI falls 40 dB per decade of distance.
   return d_ref_ * std::pow(10.0, (rssi_ref_dbm_ - rssi) / 40.0);
 }
@@ -39,19 +57,19 @@ std::vector<double> Tagtag::feature_curve(const RoundTrace& round) const {
   const std::vector<AntennaTrace> traces = preprocess_round(round);
   require(config_.antenna < traces.size(), "Tagtag: antenna out of range");
   const AntennaTrace& trace = traces[config_.antenna];
-  require(trace.trace.frequency_hz.size() >= 8,
+  require(trace.frequency_hz.size() >= 8,
           "Tagtag: trace has too few channels");
 
-  const double rssi = trace_mean_rssi(trace);
+  const double rssi = antenna_mean_rssi(round, config_.antenna);
   const double d_hat =
       d_ref_ * std::pow(10.0, (rssi_ref_dbm_ - rssi) / 40.0);
 
-  // Subtract the RSS-implied propagation phase, then mean-center (channel
-  // hopping cancels the orientation/device constant, per the paper).
-  std::vector<double> curve(trace.trace.frequency_hz.size());
+  // Subtract the RSS-implied propagation phase from the naively unwrapped
+  // curve, then mean-center (channel hopping cancels the orientation/device
+  // constant, per the paper).
+  std::vector<double> curve = unwrap(trace.wrapped_phase);
   for (std::size_t i = 0; i < curve.size(); ++i) {
-    curve[i] = trace.trace.phase[i] -
-               kSlopePerMeter * d_hat * trace.trace.frequency_hz[i];
+    curve[i] -= kSlopePerMeter * d_hat * trace.frequency_hz[i];
   }
   const double m = mean(curve);
   for (double& c : curve) c -= m;

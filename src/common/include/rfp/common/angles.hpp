@@ -25,14 +25,6 @@ double ang_diff(double a, double b);
 /// is numerically zero (mean undefined, e.g. two antipodal angles).
 double circular_mean(std::span<const double> angles);
 
-/// Mean resultant length R in [0,1] — a concentration measure; R near 1
-/// means the angles agree, near 0 means they are spread around the circle.
-double circular_resultant_length(std::span<const double> angles);
-
-/// Circular standard deviation sqrt(-2 ln R) [rad]. Returns a large finite
-/// value if R underflows.
-double circular_stddev(std::span<const double> angles);
-
 /// Unwrap a sequence of angles: returns a copy where each element differs
 /// from its predecessor by less than pi in absolute value (adds multiples of
 /// 2*pi). The first element is kept as-is.

@@ -22,18 +22,6 @@ double wrap_to_pi(double a) {
 
 double ang_diff(double a, double b) { return wrap_to_pi(a - b); }
 
-double circular_resultant_length(std::span<const double> angles) {
-  require(!angles.empty(), "circular_resultant_length: empty input");
-  double s = 0.0;
-  double c = 0.0;
-  for (double a : angles) {
-    s += std::sin(a);
-    c += std::cos(a);
-  }
-  const double n = static_cast<double>(angles.size());
-  return std::hypot(s / n, c / n);
-}
-
 double circular_mean(std::span<const double> angles) {
   require(!angles.empty(), "circular_mean: empty input");
   double s = 0.0;
@@ -46,14 +34,6 @@ double circular_mean(std::span<const double> angles) {
     throw InvalidArgument("circular_mean: resultant vector is zero");
   }
   return std::atan2(s, c);
-}
-
-double circular_stddev(std::span<const double> angles) {
-  // Clamp: rounding can push R infinitesimally above 1 for identical
-  // angles, which would turn the sqrt argument negative.
-  const double r = std::min(circular_resultant_length(angles), 1.0);
-  if (r < 1e-300) return 1e6;
-  return std::sqrt(-2.0 * std::log(r));
 }
 
 std::vector<double> unwrap(std::span<const double> wrapped) {

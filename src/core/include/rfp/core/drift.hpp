@@ -106,7 +106,7 @@ struct DriftCorrections {
   std::vector<bool> drop;
 };
 
-/// Per-port estimator state (also the unit of serialization).
+/// Per-port estimator state.
 struct AntennaDriftState {
   double slope = 0.0;       ///< EMA drift estimate, slope channel [rad/Hz]
   double intercept = 0.0;   ///< EMA drift estimate, intercept channel [rad]
@@ -176,12 +176,13 @@ class DriftEstimator {
 
   DriftStats stats() const;
 
-  /// Per-port state (serialization + diagnostics).
+  /// Per-port state (diagnostics).
   const std::vector<AntennaDriftState>& state() const { return state_; }
   std::uint64_t rounds_observed() const { return stats_.rounds_observed; }
 
-  /// Adopt persisted state (calibration_io). Throws InvalidArgument when
-  /// `state` does not match this estimator's antenna count.
+  /// Adopt previously recorded per-port state (e.g. to start from a known
+  /// drift in a test). Throws InvalidArgument when `state` does not match
+  /// this estimator's antenna count.
   void restore(std::vector<AntennaDriftState> state,
                std::uint64_t rounds_observed);
 

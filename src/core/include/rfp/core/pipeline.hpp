@@ -43,16 +43,6 @@ struct RfPrismConfig {
   FittingConfig fitting;
   ErrorDetectorConfig error_detector;
   DisentangleConfig disentangle;
-
-  /// Run the error detector (paper §V-C). Disable to study its effect.
-  bool enable_error_detector = true;
-
-  /// Degraded-mode sensing: when some antennas fail the per-round health
-  /// gate but at least the minimum solvable count (3 in 2D, 4 in 3D)
-  /// remain healthy, re-fit on the healthy subset and emit a kDegraded
-  /// result instead of rejecting the round. Disable to restore strict
-  /// all-or-nothing behaviour.
-  bool enable_degraded_mode = true;
 };
 
 /// Versatile phase-disentangling sensor. Move-only: it owns its
@@ -85,11 +75,12 @@ class RfPrism {
   /// compensation — localization and orientation are unaffected
   /// (calibration-free by design).
   ///
-  /// `health` optionally supplies long-horizon port state: quarantined
-  /// ports are excluded from the solve up-front (the monitor is read-only
-  /// here — callers feed results back via observe_round). With degraded
-  /// mode enabled (see RfPrismConfig), rounds where unhealthy/quarantined
-  /// ports leave at least the minimum solvable antenna count produce a
+  /// Each port's this-round data passes the error detector's per-antenna
+  /// gate (paper §V-C) or is excluded. `health` optionally supplies
+  /// long-horizon port state: quarantined ports are excluded from the
+  /// solve up-front (the monitor is read-only here — callers feed results
+  /// back via observe_round). Rounds where the excluded ports leave at
+  /// least the minimum solvable antenna count (3 in 2D, 4 in 3D) produce a
   /// kDegraded result on the healthy subset; with fewer healthy ports the
   /// round is rejected with RejectReason::kAntennaHealth.
   SensingResult sense(const RoundTrace& round, const std::string& tag_id = {},
@@ -158,7 +149,7 @@ class RfPrism {
   DriftStats drift_stats() const;
   std::vector<ReSurveyAlarm> drift_alarms() const;
 
-  /// Access the estimator under its lock (per-port state, serialization,
+  /// Access the estimator under its lock (per-port state, restore,
   /// tests). `fn` must not call back into this prism's drift API.
   void with_drift(const std::function<void(DriftEstimator&)>& fn) const;
 

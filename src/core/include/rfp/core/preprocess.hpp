@@ -5,19 +5,18 @@
 
 /// \file preprocess.hpp
 /// Signal pre-processing module (paper §III, module 1): turn a raw hop
-/// round into one clean unwrapped multi-frequency trace per antenna —
-/// denoise per-dwell reads, correct sudden pi jumps, resolve 2*pi folding.
+/// round into one multi-frequency trace per antenna — denoise per-dwell
+/// reads and correct sudden pi jumps. The 2*pi folding is left to the
+/// fitter, which works modulo pi (fitting.hpp).
 
 namespace rfp {
 
 /// Pre-process one hop round into per-antenna traces. Antenna index `i` of
 /// the result is antenna `i` of the round. Dwells with no reads are
-/// skipped; an antenna with no usable dwell yields an empty trace (callers
-/// check). Throws InvalidArgument on a malformed trace (zero antennas).
+/// skipped; a channel dwelt on twice keeps the dwell with more reads (the
+/// earlier one on a tie); an antenna with no usable dwell yields an empty
+/// trace (callers check). Throws InvalidArgument on a malformed trace (zero
+/// antennas, an antenna index out of range, a frequency <= 0).
 std::vector<AntennaTrace> preprocess_round(const RoundTrace& round);
-
-/// Mean RSSI across all channels of a pre-processed antenna trace [dBm].
-/// Throws InvalidArgument if the trace has no channels.
-double trace_mean_rssi(const AntennaTrace& trace);
 
 }  // namespace rfp

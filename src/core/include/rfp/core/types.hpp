@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "rfp/dsp/linear_fit.hpp"
-#include "rfp/dsp/phase_prep.hpp"
 #include "rfp/geom/frame.hpp"
 #include "rfp/geom/vec.hpp"
 
@@ -30,18 +29,15 @@ struct DeploymentGeometry {
   std::size_t n_antennas() const { return antenna_positions.size(); }
 };
 
-/// One antenna's pre-processed multi-frequency trace: channel phases
-/// denoised and pi-jump corrected. `wrapped_phase` (one value per channel,
-/// in [0, 2*pi)) is the authoritative signal the robust fitter consumes;
-/// `trace` additionally carries a naive sequential unwrap for display and
-/// diagnostics (paper Figs. 4-6 style) — do not fit on it, a single
-/// corrupted channel can fold it.
+/// One antenna's pre-processed multi-frequency trace, exactly the input of
+/// the line fit: one denoised, pi-jump corrected phase per channel. The
+/// phases stay wrapped: the fitter searches for the line modulo pi rather
+/// than unwrapping, because one corrupted channel can fold a sequential
+/// unwrap.
 struct AntennaTrace {
   std::size_t antenna = 0;
-  UnwrappedTrace trace;                ///< ascending f, naive unwrap
-  std::vector<double> wrapped_phase;   ///< per channel, [0, 2*pi)
-  std::vector<double> mean_rssi_dbm;   ///< per channel, same order
-  std::vector<double> phase_spread;    ///< per-channel circular stddev
+  std::vector<double> frequency_hz;   ///< ascending
+  std::vector<double> wrapped_phase;  ///< per channel, [0, 2*pi)
 };
 
 /// Result of the per-antenna multi-frequency linear fit (paper Eq. 6):

@@ -48,7 +48,7 @@ double parity_correction(std::span<const double> wrapped,
 }
 
 AntennaLine plain_fit(const AntennaTrace& trace) {
-  const auto& f = trace.trace.frequency_hz;
+  const auto& f = trace.frequency_hz;
   AntennaLine line;
   line.antenna = trace.antenna;
   line.n_channels = f.size();
@@ -70,7 +70,7 @@ AntennaLine plain_fit(const AntennaTrace& trace) {
 
 AntennaLine fit_antenna_line(const AntennaTrace& trace,
                              const FittingConfig& config) {
-  const auto& f = trace.trace.frequency_hz;
+  const auto& f = trace.frequency_hz;
   const auto& wrapped = trace.wrapped_phase;
   require(f.size() == wrapped.size(), "fit_antenna_line: trace size mismatch");
   require(f.size() >= 3, "fit_antenna_line: need at least 3 channels");
@@ -200,10 +200,10 @@ std::vector<AntennaLine> fit_all_antennas(
   std::vector<AntennaLine> out;
   out.reserve(traces.size());
   for (const auto& trace : traces) {
-    if (trace.trace.frequency_hz.size() < 3) {
+    if (trace.frequency_hz.size() < 3) {
       AntennaLine empty;
       empty.antenna = trace.antenna;
-      empty.n_channels = trace.trace.frequency_hz.size();
+      empty.n_channels = trace.frequency_hz.size();
       empty.channel_inlier.assign(empty.n_channels, false);
       out.push_back(std::move(empty));
       continue;

@@ -224,42 +224,29 @@ SensingResult RfPrism::sense_round(const RoundTrace& round,
   const bool use_drift = drift.active;
 
   // ---- Antenna-subset selection (degraded mode) -----------------------
-  // Gate each port's *this-round* data: with the detector on, the §V-C
-  // per-antenna criteria; with it off, bare solver viability (>= 3 inlier
-  // channels), which reproduces the strict pipeline's implicit filtering.
+  // Gate each port's *this-round* data on the §V-C per-antenna criteria.
   // Quarantined ports (long-horizon health) are excluded regardless of how
   // their current round looks.
-  bool quarantine_excluded = false;
-  if (config_.enable_degraded_mode) {
-    std::vector<bool> gate;
-    if (config_.enable_error_detector) {
-      gate = antenna_health_flags(result.lines, config_.error_detector);
+  const std::vector<bool> gate =
+      antenna_health_flags(result.lines, config_.error_detector);
+  for (std::size_t i = 0; i < result.lines.size(); ++i) {
+    const std::size_t antenna = result.lines[i].antenna;
+    const bool quarantined = health != nullptr &&
+                             antenna < health->n_antennas() &&
+                             !health->healthy(antenna);
+    // Ports whose accumulated drift exceeds the correctable bound join
+    // the degraded subset path like gate failures: their lines are too
+    // far gone to trust even corrected.
+    const bool drift_dropped =
+        use_drift && antenna < drift.drop.size() && drift.drop[antenna];
+    if (!gate[i] || drift_dropped) {
+      result.unhealthy_antennas.push_back(antenna);
+    }
+    if (!gate[i] || drift_dropped || quarantined) {
+      result.excluded_antennas.push_back(antenna);
     } else {
-      gate.reserve(result.lines.size());
-      for (const auto& line : result.lines) gate.push_back(line.fit.n >= 3);
+      solve_lines.push_back(result.lines[i]);
     }
-    for (std::size_t i = 0; i < result.lines.size(); ++i) {
-      const std::size_t antenna = result.lines[i].antenna;
-      const bool quarantined = health != nullptr &&
-                               antenna < health->n_antennas() &&
-                               !health->healthy(antenna);
-      // Ports whose accumulated drift exceeds the correctable bound join
-      // the degraded subset path like gate failures: their lines are too
-      // far gone to trust even corrected.
-      const bool drift_dropped =
-          use_drift && antenna < drift.drop.size() && drift.drop[antenna];
-      if (!gate[i] || drift_dropped) {
-        result.unhealthy_antennas.push_back(antenna);
-      }
-      if (!gate[i] || drift_dropped || quarantined) {
-        result.excluded_antennas.push_back(antenna);
-        quarantine_excluded |= quarantined && gate[i] && !drift_dropped;
-      } else {
-        solve_lines.push_back(result.lines[i]);
-      }
-    }
-  } else {
-    solve_lines = result.lines;
   }
 
   // Subtract the estimator's per-antenna corrections from the lines the
@@ -276,51 +263,40 @@ SensingResult RfPrism::sense_round(const RoundTrace& round,
     }
   }
 
-  if (config_.enable_degraded_mode && solve_lines.size() < min_antennas) {
+  if (solve_lines.size() < min_antennas) {
     // Not enough healthy ports to disentangle. Prefer the whole-round
     // detector verdict when *every* port failed (mobility corrupts all
     // antennas at once — that is not a port-health problem); otherwise
     // name the antenna-health gate explicitly.
-    if (config_.enable_error_detector) {
-      if (result.unhealthy_antennas.size() == result.lines.size()) {
-        const RejectReason reason =
-            detect_errors(result.lines, config_.error_detector);
-        return reject(std::move(result), reason != RejectReason::kNone
-                                             ? reason
-                                             : RejectReason::kAntennaHealth);
-      }
-      return reject(std::move(result), RejectReason::kAntennaHealth);
+    if (result.unhealthy_antennas.size() == result.lines.size()) {
+      const RejectReason reason =
+          detect_errors(result.lines, config_.error_detector);
+      return reject(std::move(result), reason != RejectReason::kNone
+                                           ? reason
+                                           : RejectReason::kAntennaHealth);
     }
-    return reject(std::move(result), quarantine_excluded
-                                         ? RejectReason::kAntennaHealth
-                                         : RejectReason::kSolverFailure);
+    return reject(std::move(result), RejectReason::kAntennaHealth);
   }
 
-  if (config_.enable_error_detector) {
-    RejectReason reason =
-        detect_errors(std::span<const AntennaLine>(solve_lines),
-                      config_.error_detector);
-    if (config_.enable_degraded_mode) {
-      // Best-subset search: the cross-antenna checks can still fail on the
-      // healthy set (e.g. one marginal port drags the median); shed the
-      // worst-RMSE line while a solvable subset remains.
-      while (reason != RejectReason::kNone &&
-             solve_lines.size() > min_antennas) {
-        std::size_t worst = 0;
-        for (std::size_t i = 1; i < solve_lines.size(); ++i) {
-          if (solve_lines[i].fit.rmse > solve_lines[worst].fit.rmse) worst = i;
-        }
-        result.unhealthy_antennas.push_back(solve_lines[worst].antenna);
-        result.excluded_antennas.push_back(solve_lines[worst].antenna);
-        solve_lines.erase(solve_lines.begin() +
-                          static_cast<std::ptrdiff_t>(worst));
-        reason = detect_errors(std::span<const AntennaLine>(solve_lines),
-                               config_.error_detector);
-      }
+  RejectReason reason = detect_errors(
+      std::span<const AntennaLine>(solve_lines), config_.error_detector);
+  // Best-subset search: the cross-antenna checks can still fail on the
+  // healthy set (e.g. one marginal port drags the median); shed the
+  // worst-RMSE line while a solvable subset remains.
+  while (reason != RejectReason::kNone && solve_lines.size() > min_antennas) {
+    std::size_t worst = 0;
+    for (std::size_t i = 1; i < solve_lines.size(); ++i) {
+      if (solve_lines[i].fit.rmse > solve_lines[worst].fit.rmse) worst = i;
     }
-    if (reason != RejectReason::kNone) {
-      return reject(std::move(result), reason);
-    }
+    result.unhealthy_antennas.push_back(solve_lines[worst].antenna);
+    result.excluded_antennas.push_back(solve_lines[worst].antenna);
+    solve_lines.erase(solve_lines.begin() +
+                      static_cast<std::ptrdiff_t>(worst));
+    reason = detect_errors(std::span<const AntennaLine>(solve_lines),
+                           config_.error_detector);
+  }
+  if (reason != RejectReason::kNone) {
+    return reject(std::move(result), reason);
   }
 
   // ---- Stage A, then Stage B, features and grading --------------------
@@ -363,8 +339,7 @@ SensingResult RfPrism::sense_round(const RoundTrace& round,
 
   result.valid = true;
   result.reject_reason = RejectReason::kNone;
-  result.grade = (config_.enable_degraded_mode &&
-                  solve_lines.size() < result.lines.size())
+  result.grade = solve_lines.size() < result.lines.size()
                      ? SensingGrade::kDegraded
                      : SensingGrade::kFull;
   return result;

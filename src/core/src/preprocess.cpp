@@ -1,69 +1,67 @@
 #include "rfp/core/preprocess.hpp"
 
 #include <algorithm>
-#include <map>
+#include <tuple>
 
 #include "rfp/common/error.hpp"
-#include "rfp/dsp/stats.hpp"
+#include "rfp/dsp/phase_prep.hpp"
 
 namespace rfp {
 
 std::vector<AntennaTrace> preprocess_round(const RoundTrace& round) {
   require(round.n_antennas > 0, "preprocess_round: zero antennas");
 
-  // Aggregate each dwell, grouped by antenna, keyed by frequency so the
-  // random hop order comes out sorted.
-  struct ChannelAgg {
-    ChannelPhase phase;
-    double rssi = 0.0;
+  // Aggregate each dwell into one flat list of channels.
+  struct Channel {
+    std::size_t antenna;
+    double frequency_hz;
+    std::size_t n_reads;
+    double phase;
   };
-  std::vector<std::map<double, ChannelAgg>> per_antenna(round.n_antennas);
-
+  std::vector<Channel> channels;
+  channels.reserve(round.dwells.size());
   for (const Dwell& dwell : round.dwells) {
     require(dwell.antenna < round.n_antennas,
             "preprocess_round: antenna index out of range");
     if (dwell.phases.empty()) continue;
-    ChannelAgg agg;
-    agg.phase = aggregate_dwell(dwell.frequency_hz, dwell.phases);
-    agg.rssi = dwell.rssi_dbm.empty()
-                   ? 0.0
-                   : mean(std::span<const double>(dwell.rssi_dbm));
-    // A channel can be visited twice in odd hop plans; keep the dwell with
-    // more reads (better averaging).
-    auto [it, inserted] = per_antenna[dwell.antenna].try_emplace(
-        dwell.frequency_hz, std::move(agg));
-    if (!inserted && dwell.phases.size() > it->second.phase.n_reads) {
-      it->second = std::move(agg);
-    }
+    const ChannelPhase agg = aggregate_dwell(dwell.frequency_hz, dwell.phases);
+    channels.push_back({dwell.antenna, dwell.frequency_hz, agg.n_reads,
+                        agg.phase});
   }
 
-  std::vector<AntennaTrace> out;
-  out.reserve(round.n_antennas);
+  // Sort by antenna, then frequency, so the random hop order comes out
+  // ascending. A channel can be visited twice in odd hop plans: its dwell
+  // with more reads (better averaging) sorts first, the earlier one on a
+  // tie (the sort is stable), and unique() keeps that one.
+  std::stable_sort(channels.begin(), channels.end(),
+                   [](const Channel& a, const Channel& b) {
+                     return std::tie(a.antenna, a.frequency_hz, b.n_reads) <
+                            std::tie(b.antenna, b.frequency_hz, a.n_reads);
+                   });
+  channels.erase(std::unique(channels.begin(), channels.end(),
+                             [](const Channel& a, const Channel& b) {
+                               return a.antenna == b.antenna &&
+                                      a.frequency_hz == b.frequency_hz;
+                             }),
+                 channels.end());
+
+  // Each antenna's channels are now one contiguous run.
+  std::vector<AntennaTrace> out(round.n_antennas);
+  auto first = channels.begin();
   for (std::size_t ai = 0; ai < round.n_antennas; ++ai) {
-    AntennaTrace at;
-    at.antenna = ai;
-    if (!per_antenna[ai].empty()) {
-      std::vector<ChannelPhase> channels;
-      channels.reserve(per_antenna[ai].size());
-      at.mean_rssi_dbm.reserve(per_antenna[ai].size());
-      at.phase_spread.reserve(per_antenna[ai].size());
-      at.wrapped_phase.reserve(per_antenna[ai].size());
-      for (const auto& [freq, agg] : per_antenna[ai]) {
-        channels.push_back(agg.phase);
-        at.wrapped_phase.push_back(agg.phase.phase);
-        at.mean_rssi_dbm.push_back(agg.rssi);
-        at.phase_spread.push_back(agg.phase.spread);
-      }
-      at.trace = unwrap_trace(channels);
+    const auto last =
+        std::find_if(first, channels.end(),
+                     [ai](const Channel& c) { return c.antenna != ai; });
+    AntennaTrace& trace = out[ai];
+    trace.antenna = ai;
+    trace.frequency_hz.reserve(static_cast<std::size_t>(last - first));
+    trace.wrapped_phase.reserve(static_cast<std::size_t>(last - first));
+    for (; first != last; ++first) {
+      trace.frequency_hz.push_back(first->frequency_hz);
+      trace.wrapped_phase.push_back(first->phase);
     }
-    out.push_back(std::move(at));
   }
   return out;
-}
-
-double trace_mean_rssi(const AntennaTrace& trace) {
-  require(!trace.mean_rssi_dbm.empty(), "trace_mean_rssi: empty trace");
-  return mean(std::span<const double>(trace.mean_rssi_dbm));
 }
 
 }  // namespace rfp

@@ -1,12 +1,10 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 /// \file phase_prep.hpp
 /// Signal pre-processing (paper §III, first module): denoise raw per-read
-/// phases, correct the "sudden pi jump" a commodity reader introduces, and
-/// resolve the 2*pi folding across frequency channels.
+/// phases and correct the "sudden pi jump" a commodity reader introduces.
 ///
 /// A reader dwell on one channel yields many raw reads; a random subset of
 /// them is offset by pi (a demodulation ambiguity of COTS readers). Within
@@ -20,7 +18,6 @@ struct ChannelPhase {
   double frequency_hz = 0.0;
   double phase = 0.0;       ///< wrapped to [0, 2*pi)
   std::size_t n_reads = 0;  ///< reads aggregated into this value
-  double spread = 0.0;      ///< circular stddev of the (pi-corrected) reads
 };
 
 /// Aggregate one dwell's raw reads into a single phase.
@@ -31,26 +28,5 @@ struct ChannelPhase {
 /// input.
 ChannelPhase aggregate_dwell(double frequency_hz,
                              std::span<const double> raw_phases);
-
-/// A full pre-processed multi-frequency trace for one antenna: channel
-/// observations sorted by frequency with phases unwrapped into a continuous
-/// curve (paper Figs. 4-6 style). The absolute 2*pi*m offset of the curve
-/// is arbitrary; downstream consumers treat intercept-like quantities
-/// modulo 2*pi.
-struct UnwrappedTrace {
-  std::vector<double> frequency_hz;  ///< ascending
-  std::vector<double> phase;         ///< unwrapped, same length
-};
-
-/// Sort channel observations by frequency and unwrap the phase sequence.
-/// Requires at least one observation and strictly increasing frequencies
-/// after sorting (duplicate channels are circular-averaged first).
-UnwrappedTrace unwrap_trace(std::span<const ChannelPhase> channels);
-
-/// Difference-based linearity score of an unwrapped trace: the standard
-/// deviation of the per-step phase increments normalized by frequency step,
-/// i.e. the spread of local slopes [rad/Hz]. Low = consistent with a single
-/// line. Used as a cheap pre-filter before full fitting.
-double local_slope_spread(const UnwrappedTrace& trace);
 
 }  // namespace rfp

@@ -1,13 +1,11 @@
 #include "rfp/dsp/phase_prep.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <map>
+#include <vector>
 
 #include "rfp/common/angles.hpp"
 #include "rfp/common/constants.hpp"
 #include "rfp/common/error.hpp"
-#include "rfp/dsp/stats.hpp"
 
 namespace rfp {
 
@@ -50,51 +48,7 @@ ChannelPhase aggregate_dwell(double frequency_hz,
   out.frequency_hz = frequency_hz;
   out.n_reads = raw_phases.size();
   out.phase = wrap_to_2pi(circular_mean(corrected));
-  out.spread = circular_stddev(corrected);
   return out;
-}
-
-UnwrappedTrace unwrap_trace(std::span<const ChannelPhase> channels) {
-  require(!channels.empty(), "unwrap_trace: no channels");
-
-  // Merge duplicate frequencies (re-visited channels) by circular mean of
-  // their phases, weighted by read count.
-  std::map<double, std::vector<std::pair<double, double>>> by_freq;
-  for (const auto& c : channels) {
-    require(c.frequency_hz > 0.0, "unwrap_trace: bad frequency");
-    by_freq[c.frequency_hz].emplace_back(
-        c.phase, static_cast<double>(std::max<std::size_t>(c.n_reads, 1)));
-  }
-
-  UnwrappedTrace trace;
-  trace.frequency_hz.reserve(by_freq.size());
-  trace.phase.reserve(by_freq.size());
-  for (const auto& [freq, entries] : by_freq) {
-    double s = 0.0, c = 0.0;
-    for (const auto& [phase, weight] : entries) {
-      s += weight * std::sin(phase);
-      c += weight * std::cos(phase);
-    }
-    trace.frequency_hz.push_back(freq);
-    trace.phase.push_back(wrap_to_2pi(std::atan2(s, c)));
-  }
-
-  trace.phase = unwrap(trace.phase);
-  return trace;
-}
-
-double local_slope_spread(const UnwrappedTrace& trace) {
-  const std::size_t n = trace.frequency_hz.size();
-  require(n == trace.phase.size(), "local_slope_spread: size mismatch");
-  if (n < 3) return 0.0;
-  std::vector<double> slopes;
-  slopes.reserve(n - 1);
-  for (std::size_t i = 1; i < n; ++i) {
-    const double df = trace.frequency_hz[i] - trace.frequency_hz[i - 1];
-    if (df <= 0.0) throw InvalidArgument("local_slope_spread: unsorted trace");
-    slopes.push_back((trace.phase[i] - trace.phase[i - 1]) / df);
-  }
-  return stddev(slopes);
 }
 
 }  // namespace rfp

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "rfp/core/calibration.hpp"
-#include "rfp/core/drift.hpp"
 
 /// \file calibration_io.hpp
 /// Plain-text serialization of the calibration database: the antenna-port
@@ -30,26 +29,5 @@ CalibrationDB read_calibrations(std::istream& is);
 
 void save_calibrations(const std::string& path, const CalibrationDB& db);
 CalibrationDB load_calibrations(const std::string& path);
-
-// ---- Drift-estimator state ("rfprism-drift v1") ------------------------
-//
-// The online drift estimator (drift.hpp) accumulates hours of deployment
-// history; restarting the serving process must not reset it to cold.
-//
-//   rfprism-drift v1
-//   antennas <n> rounds <rounds_observed>
-//   <slope> <intercept> <slope_rate> <intercept_rate>
-//       <slope_spread> <intercept_spread> <updates> <alarmed>   (n lines)
-
-void write_drift_state(std::ostream& os, const DriftEstimator& estimator);
-
-/// Restore persisted per-port state into `estimator` (its antenna count
-/// must match the file's). Throws Error on syntax/version/count problems
-/// and on non-finite values; the estimator is untouched on failure.
-void read_drift_state(std::istream& is, DriftEstimator& estimator);
-
-void save_drift_state(const std::string& path,
-                      const DriftEstimator& estimator);
-void load_drift_state(const std::string& path, DriftEstimator& estimator);
 
 }  // namespace rfp

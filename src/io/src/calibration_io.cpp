@@ -107,87 +107,4 @@ CalibrationDB load_calibrations(const std::string& path) {
   return read_calibrations(is);
 }
 
-namespace {
-
-constexpr const char* kDriftMagic = "rfprism-drift";
-constexpr const char* kDriftVersion = "v1";
-
-[[noreturn]] void drift_parse_fail(const std::string& what) {
-  throw Error("read_drift_state: " + what);
-}
-
-}  // namespace
-
-void write_drift_state(std::ostream& os, const DriftEstimator& estimator) {
-  os << kDriftMagic << ' ' << kDriftVersion << '\n';
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "antennas " << estimator.n_antennas() << " rounds "
-     << estimator.rounds_observed() << '\n';
-  for (const AntennaDriftState& st : estimator.state()) {
-    os << st.slope << ' ' << st.intercept << ' ' << st.slope_rate << ' '
-       << st.intercept_rate << ' ' << st.slope_spread << ' '
-       << st.intercept_spread << ' ' << st.updates << ' '
-       << (st.alarmed ? 1 : 0) << '\n';
-  }
-  if (!os) throw Error("write_drift_state: stream failure");
-}
-
-void read_drift_state(std::istream& is, DriftEstimator& estimator) {
-  std::string magic, version;
-  if (!(is >> magic >> version)) drift_parse_fail("missing header");
-  if (magic != kDriftMagic) drift_parse_fail("bad magic '" + magic + "'");
-  if (version != kDriftVersion) {
-    drift_parse_fail("unsupported version '" + version + "'");
-  }
-
-  std::string token;
-  std::size_t n_antennas = 0;
-  std::uint64_t rounds = 0;
-  if (!(is >> token) || token != "antennas" || !(is >> n_antennas)) {
-    drift_parse_fail("bad antennas header");
-  }
-  if (!(is >> token) || token != "rounds" || !(is >> rounds)) {
-    drift_parse_fail("bad rounds header");
-  }
-  if (n_antennas == 0) drift_parse_fail("zero antennas");
-  if (n_antennas != estimator.n_antennas()) {
-    drift_parse_fail("antenna count mismatch: file has " +
-                     std::to_string(n_antennas) + ", estimator has " +
-                     std::to_string(estimator.n_antennas()));
-  }
-
-  std::vector<AntennaDriftState> state(n_antennas);
-  for (std::size_t a = 0; a < n_antennas; ++a) {
-    AntennaDriftState& st = state[a];
-    int alarmed = 0;
-    if (!(is >> st.slope >> st.intercept >> st.slope_rate >>
-          st.intercept_rate >> st.slope_spread >> st.intercept_spread >>
-          st.updates >> alarmed)) {
-      drift_parse_fail("truncated antenna state");
-    }
-    if (alarmed != 0 && alarmed != 1) drift_parse_fail("bad alarmed flag");
-    st.alarmed = alarmed == 1;
-    if (!std::isfinite(st.slope) || !std::isfinite(st.intercept) ||
-        !std::isfinite(st.slope_rate) || !std::isfinite(st.intercept_rate) ||
-        !std::isfinite(st.slope_spread) ||
-        !std::isfinite(st.intercept_spread)) {
-      drift_parse_fail("non-finite antenna state");
-    }
-  }
-  estimator.restore(std::move(state), rounds);
-}
-
-void save_drift_state(const std::string& path,
-                      const DriftEstimator& estimator) {
-  std::ofstream os(path);
-  if (!os) throw Error("save_drift_state: cannot open '" + path + "'");
-  write_drift_state(os, estimator);
-}
-
-void load_drift_state(const std::string& path, DriftEstimator& estimator) {
-  std::ifstream is(path);
-  if (!is) throw Error("load_drift_state: cannot open '" + path + "'");
-  read_drift_state(is, estimator);
-}
-
 }  // namespace rfp

@@ -98,30 +98,6 @@ TEST(CircularMean, InvariantToRotation) {
   }
 }
 
-TEST(CircularResultantLength, ConcentratedNearOne) {
-  const std::vector<double> angles{1.0, 1.0, 1.0};
-  EXPECT_NEAR(circular_resultant_length(angles), 1.0, 1e-12);
-}
-
-TEST(CircularResultantLength, SpreadNearZero) {
-  const std::vector<double> angles{0.0, kTwoPi / 3.0, 2.0 * kTwoPi / 3.0};
-  EXPECT_NEAR(circular_resultant_length(angles), 0.0, 1e-9);
-}
-
-TEST(CircularStddev, ZeroForIdenticalAngles) {
-  const std::vector<double> angles{2.5, 2.5, 2.5, 2.5};
-  EXPECT_NEAR(circular_stddev(angles), 0.0, 1e-6);
-}
-
-TEST(CircularStddev, MatchesLinearStddevForSmallSpread) {
-  // For tightly clustered angles the circular stddev approaches the
-  // linear one.
-  Rng rng(5);
-  std::vector<double> angles;
-  for (int i = 0; i < 5000; ++i) angles.push_back(rng.gaussian(3.0, 0.05));
-  EXPECT_NEAR(circular_stddev(angles), 0.05, 0.005);
-}
-
 TEST(Unwrap, RemovesArtificialWraps) {
   // A steadily increasing sequence wrapped to [0, 2*pi) must unwrap back
   // to itself (up to the starting offset).

@@ -166,23 +166,6 @@ TEST_F(DegradedTest, QuarantinedPortExcludedEvenWhenClean) {
   EXPECT_TRUE(result.unhealthy_antennas.empty());
 }
 
-TEST_F(DegradedTest, DegradedModeOffKeepsStrictBehaviour) {
-  RfPrismConfig config;
-  config.enable_degraded_mode = false;
-  const RfPrism strict = bed_->make_pipeline_variant(config);
-
-  FaultProfile profile;
-  profile.dead_antennas = {2};
-  const FaultInjector injector(profile);
-  const TagState state = bed_->tag_state({0.8, 1.2}, 0.5, "glass");
-  const SensingResult result =
-      strict.sense(injector.apply(bed_->collect(state, 9), 9), bed_->tag_id());
-  // The strict pipeline has no subset path: the dead port rejects the
-  // round outright.
-  EXPECT_FALSE(result.valid);
-  EXPECT_EQ(result.grade, SensingGrade::kRejected);
-}
-
 TEST_F(DegradedTest, MonitorLearnsDeadPortFromStream) {
   AntennaHealthMonitor monitor(4);
   FaultProfile profile;

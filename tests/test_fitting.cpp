@@ -27,12 +27,9 @@ AntennaTrace synthetic_trace(double k, double b,
   AntennaTrace trace;
   trace.antenna = 0;
   for (std::size_t i = 0; i < kNumChannels; ++i) {
-    trace.trace.frequency_hz.push_back(channel_frequency(i));
+    trace.frequency_hz.push_back(channel_frequency(i));
     trace.wrapped_phase.push_back(wrap_to_2pi(raw[i]));
-    trace.mean_rssi_dbm.push_back(-55.0);
-    trace.phase_spread.push_back(0.01);
   }
-  trace.trace.phase = unwrap(trace.wrapped_phase);
   return trace;
 }
 
@@ -113,12 +110,9 @@ TEST(FitAntennaLine, RandomScatterYieldsUnusableLine) {
   AntennaTrace trace;
   trace.antenna = 0;
   for (std::size_t i = 0; i < kNumChannels; ++i) {
-    trace.trace.frequency_hz.push_back(channel_frequency(i));
+    trace.frequency_hz.push_back(channel_frequency(i));
     trace.wrapped_phase.push_back(rng.uniform(0.0, kTwoPi));
-    trace.mean_rssi_dbm.push_back(-55.0);
-    trace.phase_spread.push_back(0.01);
   }
-  trace.trace.phase = unwrap(trace.wrapped_phase);
   const AntennaLine line = fit_antenna_line(trace, FittingConfig{});
   EXPECT_LT(line.fit.n, 25u);
 }
@@ -184,8 +178,7 @@ TEST(FitAntennaLine, EndToEndAgainstSimulatorTruth) {
 TEST(FitAntennaLine, TooFewChannelsThrows) {
   AntennaTrace trace;
   trace.antenna = 0;
-  trace.trace.frequency_hz = {903e6, 904e6};
-  trace.trace.phase = {0.1, 0.2};
+  trace.frequency_hz = {903e6, 904e6};
   trace.wrapped_phase = {0.1, 0.2};
   EXPECT_THROW(fit_antenna_line(trace, FittingConfig{}), InvalidArgument);
 }
@@ -194,10 +187,9 @@ TEST(FitAllAntennas, ShortTraceMarkedUnusable) {
   AntennaTrace good;
   good.antenna = 0;
   for (std::size_t i = 0; i < 10; ++i) {
-    good.trace.frequency_hz.push_back(channel_frequency(i));
+    good.frequency_hz.push_back(channel_frequency(i));
     good.wrapped_phase.push_back(wrap_to_2pi(9e-8 * channel_frequency(i)));
   }
-  good.trace.phase = unwrap(good.wrapped_phase);
   AntennaTrace empty;
   empty.antenna = 1;
   const std::vector<AntennaTrace> traces{good, empty};

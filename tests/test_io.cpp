@@ -282,115 +282,6 @@ TEST(CalibrationIo, RejectsTruncatedTags) {
   EXPECT_THROW(read_calibrations(ss), Error);
 }
 
-// ---- Drift-estimator state ("rfprism-drift v1") ---------------------------
-
-DriftEstimator sample_drift_estimator() {
-  DriftConfig config;
-  config.enable = true;
-  DriftEstimator estimator(3, config);
-  std::vector<AntennaDriftState> state(3);
-  state[0].slope = 1.25e-9;
-  state[0].intercept = -0.375;
-  state[0].slope_rate = 2.5e-11;
-  state[0].intercept_rate = -1e-3;
-  state[0].slope_spread = 5e-10;
-  state[0].intercept_spread = 0.0625;
-  state[0].updates = 41;
-  state[2].slope = -9.5e-9;
-  state[2].updates = 17;
-  state[2].alarmed = true;
-  estimator.restore(std::move(state), 44);
-  return estimator;
-}
-
-TEST(DriftStateIo, RoundTripsExactly) {
-  const DriftEstimator original = sample_drift_estimator();
-  std::stringstream ss;
-  write_drift_state(ss, original);
-
-  DriftConfig config;
-  config.enable = true;
-  DriftEstimator reloaded(3, config);
-  read_drift_state(ss, reloaded);
-
-  EXPECT_EQ(reloaded.rounds_observed(), original.rounds_observed());
-  ASSERT_EQ(reloaded.state().size(), original.state().size());
-  for (std::size_t a = 0; a < original.state().size(); ++a) {
-    const AntennaDriftState& want = original.state()[a];
-    const AntennaDriftState& got = reloaded.state()[a];
-    EXPECT_DOUBLE_EQ(got.slope, want.slope) << "antenna " << a;
-    EXPECT_DOUBLE_EQ(got.intercept, want.intercept) << "antenna " << a;
-    EXPECT_DOUBLE_EQ(got.slope_rate, want.slope_rate) << "antenna " << a;
-    EXPECT_DOUBLE_EQ(got.intercept_rate, want.intercept_rate)
-        << "antenna " << a;
-    EXPECT_DOUBLE_EQ(got.slope_spread, want.slope_spread) << "antenna " << a;
-    EXPECT_DOUBLE_EQ(got.intercept_spread, want.intercept_spread)
-        << "antenna " << a;
-    EXPECT_EQ(got.updates, want.updates) << "antenna " << a;
-    EXPECT_EQ(got.alarmed, want.alarmed) << "antenna " << a;
-  }
-  // Alarm latches and warm-up survive the round trip.
-  ASSERT_EQ(reloaded.alarms().size(), 1u);
-  EXPECT_EQ(reloaded.alarms()[0].antenna, 2u);
-  EXPECT_TRUE(reloaded.corrections().active);
-}
-
-TEST(DriftStateIo, FileRoundTrip) {
-  const DriftEstimator original = sample_drift_estimator();
-  const std::string path = testing::TempDir() + "/rfp_drift_test.txt";
-  save_drift_state(path, original);
-  DriftEstimator reloaded(3, DriftConfig{});
-  load_drift_state(path, reloaded);
-  EXPECT_EQ(reloaded.rounds_observed(), 44u);
-  EXPECT_DOUBLE_EQ(reloaded.state()[2].slope, -9.5e-9);
-}
-
-TEST(DriftStateIo, CorruptInputsRejectedAndEstimatorUntouched) {
-  const auto expect_rejected = [](const std::string& text) {
-    SCOPED_TRACE(text);
-    DriftEstimator estimator(3, DriftConfig{});
-    std::vector<AntennaDriftState> sentinel(3);
-    sentinel[1].slope = 7e-9;
-    estimator.restore(sentinel, 5);
-
-    std::stringstream ss(text);
-    EXPECT_THROW(read_drift_state(ss, estimator), Error);
-    // Failure must leave the estimator exactly as it was.
-    EXPECT_EQ(estimator.rounds_observed(), 5u);
-    EXPECT_DOUBLE_EQ(estimator.state()[1].slope, 7e-9);
-  };
-
-  expect_rejected("not-drift v1\n");
-  expect_rejected("rfprism-drift v9\nantennas 3 rounds 1\n");
-  expect_rejected("rfprism-drift v1\nantennae 3 rounds 1\n");
-  expect_rejected("rfprism-drift v1\nantennas 0 rounds 1\n");
-  // Antenna count mismatch (file says 2, estimator holds 3).
-  expect_rejected(
-      "rfprism-drift v1\nantennas 2 rounds 1\n"
-      "0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0\n");
-  // Truncated per-antenna state.
-  expect_rejected(
-      "rfprism-drift v1\nantennas 3 rounds 1\n"
-      "0 0 0 0 0 0 0 0\n0 0 0 0\n");
-  // Non-finite values.
-  expect_rejected(
-      "rfprism-drift v1\nantennas 3 rounds 1\n"
-      "nan 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0\n");
-  expect_rejected(
-      "rfprism-drift v1\nantennas 3 rounds 1\n"
-      "0 inf 0 0 0 0 0 0\n0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0\n");
-  // Alarmed flag outside {0, 1}.
-  expect_rejected(
-      "rfprism-drift v1\nantennas 3 rounds 1\n"
-      "0 0 0 0 0 0 0 2\n0 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 0\n");
-}
-
-TEST(DriftStateIo, MissingFileThrows) {
-  DriftEstimator estimator(3, DriftConfig{});
-  EXPECT_THROW(load_drift_state("/nonexistent/path/drift.txt", estimator),
-               Error);
-}
-
 TEST(GeometryIo, SurveyRoundTripsExactly) {
   const Scene scene = make_scene_2d(203);
   const DeploymentGeometry geometry = testutil::exact_geometry(scene);

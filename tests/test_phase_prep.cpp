@@ -17,7 +17,6 @@ TEST(AggregateDwell, CleanReadsAverage) {
   const ChannelPhase cp = aggregate_dwell(915e6, reads);
   EXPECT_NEAR(cp.phase, 1.0, 0.01);
   EXPECT_EQ(cp.n_reads, 5u);
-  EXPECT_LT(cp.spread, 0.05);
 }
 
 TEST(AggregateDwell, CorrectsMinorityPiJumps) {
@@ -67,84 +66,6 @@ TEST(AggregateDwell, EmptyThrows) {
 TEST(AggregateDwell, BadFrequencyThrows) {
   EXPECT_THROW(aggregate_dwell(0.0, std::vector<double>{1.0}),
                InvalidArgument);
-}
-
-std::vector<ChannelPhase> make_channels(double slope, double intercept,
-                                        std::size_t n) {
-  std::vector<ChannelPhase> channels;
-  for (std::size_t i = 0; i < n; ++i) {
-    ChannelPhase cp;
-    cp.frequency_hz = channel_frequency(i);
-    cp.phase = wrap_to_2pi(slope * cp.frequency_hz + intercept);
-    cp.n_reads = 4;
-    channels.push_back(cp);
-  }
-  return channels;
-}
-
-TEST(UnwrapTrace, StraightLineUnwrapsToLinear) {
-  const double slope = 9.0e-8;  // ~2.2 m equivalent
-  const auto channels = make_channels(slope, 0.7, kNumChannels);
-  const UnwrappedTrace trace = unwrap_trace(channels);
-  ASSERT_EQ(trace.frequency_hz.size(), kNumChannels);
-  // Differences between consecutive unwrapped phases recover the slope.
-  for (std::size_t i = 1; i < trace.phase.size(); ++i) {
-    const double local =
-        (trace.phase[i] - trace.phase[i - 1]) /
-        (trace.frequency_hz[i] - trace.frequency_hz[i - 1]);
-    ASSERT_NEAR(local, slope, 1e-12);
-  }
-}
-
-TEST(UnwrapTrace, SortsByFrequency) {
-  auto channels = make_channels(5e-8, 0.0, 10);
-  std::swap(channels[0], channels[7]);
-  std::swap(channels[2], channels[9]);
-  const UnwrappedTrace trace = unwrap_trace(channels);
-  for (std::size_t i = 1; i < trace.frequency_hz.size(); ++i) {
-    ASSERT_GT(trace.frequency_hz[i], trace.frequency_hz[i - 1]);
-  }
-}
-
-TEST(UnwrapTrace, MergesDuplicateChannels) {
-  auto channels = make_channels(5e-8, 0.0, 5);
-  ChannelPhase duplicate = channels[2];
-  duplicate.phase = wrap_to_2pi(duplicate.phase + 0.2);
-  channels.push_back(duplicate);
-  const UnwrappedTrace trace = unwrap_trace(channels);
-  EXPECT_EQ(trace.frequency_hz.size(), 5u);
-  // Merged phase lies between the two observations.
-  const double merged = wrap_to_2pi(trace.phase[2]);
-  const double lo = wrap_to_2pi(channels[2].phase);
-  EXPECT_GT(std::abs(ang_diff(merged, lo)), 0.0);
-}
-
-TEST(UnwrapTrace, EmptyThrows) {
-  EXPECT_THROW(unwrap_trace(std::vector<ChannelPhase>{}), InvalidArgument);
-}
-
-TEST(LocalSlopeSpread, ZeroForPerfectLine) {
-  const auto channels = make_channels(8e-8, 1.0, 20);
-  const UnwrappedTrace trace = unwrap_trace(channels);
-  EXPECT_NEAR(local_slope_spread(trace), 0.0, 1e-15);
-}
-
-TEST(LocalSlopeSpread, GrowsWithScatter) {
-  Rng rng(82);
-  auto channels = make_channels(8e-8, 1.0, 30);
-  UnwrappedTrace clean = unwrap_trace(channels);
-  for (auto& c : channels) {
-    c.phase = wrap_to_2pi(c.phase + rng.gaussian(0.0, 0.2));
-  }
-  UnwrappedTrace noisy = unwrap_trace(channels);
-  EXPECT_GT(local_slope_spread(noisy), local_slope_spread(clean));
-}
-
-TEST(LocalSlopeSpread, ShortTraceIsZero) {
-  UnwrappedTrace trace;
-  trace.frequency_hz = {1.0, 2.0};
-  trace.phase = {0.0, 5.0};
-  EXPECT_DOUBLE_EQ(local_slope_spread(trace), 0.0);
 }
 
 }  // namespace

@@ -110,24 +110,6 @@ TEST_F(PipelineTest, MovingTagRejectedWithReason) {
   EXPECT_NE(r.reject_reason, RejectReason::kNone);
 }
 
-TEST_F(PipelineTest, ErrorDetectorCanBeDisabled) {
-  RfPrismConfig config;
-  config.geometry = exact_geometry(scene_);
-  config.enable_error_detector = false;
-  RfPrism no_detector(config);
-  Rng rng(14);
-  const TagState start{Vec3{0.8, 1.0, 0.0}, planar_polarization(0.3), "none"};
-  const RoundTrace round = collect_round(
-      scene_, noiseless_reader(), noiseless_channel(), tag_,
-      MobilityModel::linear_motion(start, Vec3{0.03, 0.0, 0.0}), 14, rng);
-  const SensingResult r = no_detector.sense(round);
-  // Without the detector the pipeline produces *something* (likely badly
-  // wrong) instead of a rejection — unless the solve itself fails.
-  if (!r.valid) {
-    EXPECT_EQ(r.reject_reason, RejectReason::kSolverFailure);
-  }
-}
-
 TEST_F(PipelineTest, UncalibratedTagIdIsHarmless) {
   calibrate();
   const TagState state{Vec3{1.0, 1.0, 0.0}, planar_polarization(0.2), "oil"};

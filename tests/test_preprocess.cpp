@@ -33,10 +33,8 @@ TEST_F(PreprocessTest, OneTracePerAntennaAllChannels) {
   const auto traces = preprocess_round(round);
   ASSERT_EQ(traces.size(), 3u);
   for (const auto& t : traces) {
-    EXPECT_EQ(t.trace.frequency_hz.size(), kNumChannels);
+    EXPECT_EQ(t.frequency_hz.size(), kNumChannels);
     EXPECT_EQ(t.wrapped_phase.size(), kNumChannels);
-    EXPECT_EQ(t.mean_rssi_dbm.size(), kNumChannels);
-    EXPECT_EQ(t.phase_spread.size(), kNumChannels);
   }
 }
 
@@ -46,8 +44,8 @@ TEST_F(PreprocessTest, FrequenciesSortedAscending) {
                                          noiseless_channel(), tag_, state_,
                                          11, rng);
   for (const auto& t : preprocess_round(round)) {
-    for (std::size_t i = 1; i < t.trace.frequency_hz.size(); ++i) {
-      ASSERT_GT(t.trace.frequency_hz[i], t.trace.frequency_hz[i - 1]);
+    for (std::size_t i = 1; i < t.frequency_hz.size(); ++i) {
+      ASSERT_GT(t.frequency_hz[i], t.frequency_hz[i - 1]);
     }
   }
 }
@@ -59,9 +57,9 @@ TEST_F(PreprocessTest, WrappedPhasesMatchChannelModel) {
                                          12, rng);
   const ChannelModel model(scene_, noiseless_channel(), 12);
   for (const auto& t : preprocess_round(round)) {
-    for (std::size_t i = 0; i < t.trace.frequency_hz.size(); ++i) {
+    for (std::size_t i = 0; i < t.frequency_hz.size(); ++i) {
       const double expected = wrap_to_2pi(model.reported_phase(
-          t.antenna, state_, tag_, t.trace.frequency_hz[i]));
+          t.antenna, state_, tag_, t.frequency_hz[i]));
       ASSERT_NEAR(std::abs(ang_diff(t.wrapped_phase[i], expected)), 0.0, 1e-9);
     }
   }
@@ -75,47 +73,13 @@ TEST_F(PreprocessTest, PiJumpsRemovedByDwellAggregation) {
                                          tag_, state_, 13, rng);
   const ChannelModel model(scene_, noiseless_channel(), 13);
   for (const auto& t : preprocess_round(round)) {
-    for (std::size_t i = 0; i < t.trace.frequency_hz.size(); ++i) {
+    for (std::size_t i = 0; i < t.frequency_hz.size(); ++i) {
       const double expected = wrap_to_2pi(model.reported_phase(
-          t.antenna, state_, tag_, t.trace.frequency_hz[i]));
+          t.antenna, state_, tag_, t.frequency_hz[i]));
       // Each dwell's majority vote restores the base phase.
       ASSERT_NEAR(std::abs(ang_diff(t.wrapped_phase[i], expected)), 0.0, 0.01)
           << "antenna " << t.antenna << " channel " << i;
     }
-  }
-}
-
-TEST_F(PreprocessTest, SpreadReflectsNoise) {
-  ReaderConfig noisy = noiseless_reader();
-  noisy.read_phase_noise = 0.2;
-  Rng rng(5);
-  const RoundTrace quiet_round = collect_round(
-      scene_, noiseless_reader(), noiseless_channel(), tag_, state_, 14, rng);
-  const RoundTrace noisy_round = collect_round(
-      scene_, noisy, noiseless_channel(), tag_, state_, 14, rng);
-  const auto quiet = preprocess_round(quiet_round);
-  const auto loud = preprocess_round(noisy_round);
-  double quiet_spread = 0.0, loud_spread = 0.0;
-  for (std::size_t a = 0; a < quiet.size(); ++a) {
-    for (std::size_t i = 0; i < quiet[a].phase_spread.size(); ++i) {
-      ASSERT_TRUE(std::isfinite(quiet[a].phase_spread[i]));
-      ASSERT_TRUE(std::isfinite(loud[a].phase_spread[i]));
-      quiet_spread += quiet[a].phase_spread[i];
-      loud_spread += loud[a].phase_spread[i];
-    }
-  }
-  EXPECT_GT(loud_spread, quiet_spread + 1.0);
-}
-
-TEST_F(PreprocessTest, MeanRssiPlausible) {
-  Rng rng(6);
-  const RoundTrace round = collect_round(scene_, noiseless_reader(),
-                                         noiseless_channel(), tag_, state_,
-                                         15, rng);
-  for (const auto& t : preprocess_round(round)) {
-    const double rssi = trace_mean_rssi(t);
-    EXPECT_LT(rssi, -20.0);
-    EXPECT_GT(rssi, -90.0);
   }
 }
 
@@ -133,13 +97,49 @@ TEST_F(PreprocessTest, AntennaWithoutDwellsYieldsEmptyTrace) {
                 [](const Dwell& d) { return d.antenna == 2; });
   const auto traces = preprocess_round(round);
   ASSERT_EQ(traces.size(), 3u);
-  EXPECT_TRUE(traces[2].trace.frequency_hz.empty());
-  EXPECT_EQ(traces[0].trace.frequency_hz.size(), kNumChannels);
+  EXPECT_TRUE(traces[2].frequency_hz.empty());
+  EXPECT_EQ(traces[0].frequency_hz.size(), kNumChannels);
 }
 
-TEST_F(PreprocessTest, TraceMeanRssiEmptyThrows) {
-  AntennaTrace empty;
-  EXPECT_THROW(trace_mean_rssi(empty), InvalidArgument);
+TEST_F(PreprocessTest, RevisitedChannelKeepsTheDwellWithMoreReads) {
+  // Clean reads, so each dwell aggregates to its own phase.
+  const auto dwell = [](std::size_t antenna, double frequency_hz,
+                        double phase, std::size_t n_reads) {
+    Dwell d;
+    d.antenna = antenna;
+    d.frequency_hz = frequency_hz;
+    d.phases.assign(n_reads, phase);
+    d.rssi_dbm.assign(n_reads, -50.0);
+    return d;
+  };
+  // Antenna 0 dwells on 915 MHz (phases 1.0 and 2.0, in the order given)
+  // and then once on 903 MHz; antenna 1 dwells once on 915 MHz with more
+  // reads than either, which must not leak into antenna 0's channel.
+  // Returns antenna 0's 915 MHz phase.
+  const auto kept = [&](std::size_t reads_a, std::size_t reads_b,
+                        bool a_first) {
+    RoundTrace round;
+    round.n_antennas = 2;
+    Dwell a = dwell(0, 915e6, 1.0, reads_a);
+    Dwell b = dwell(0, 915e6, 2.0, reads_b);
+    round.dwells.push_back(a_first ? a : b);
+    round.dwells.push_back(dwell(1, 915e6, 3.0, 20));
+    round.dwells.push_back(a_first ? b : a);
+    round.dwells.push_back(dwell(0, 903e6, 0.5, 4));
+    const auto traces = preprocess_round(round);
+    EXPECT_EQ(traces[1].wrapped_phase.size(), 1u);
+    EXPECT_EQ(traces[0].wrapped_phase.size(), 2u);
+    EXPECT_NEAR(traces[0].wrapped_phase.front(), 0.5, 1e-9);  // 903 MHz
+    return traces[0].wrapped_phase.back();
+  };
+  // The dwell with more reads wins, in either dwell order.
+  EXPECT_NEAR(kept(3, 8, true), 2.0, 1e-9);
+  EXPECT_NEAR(kept(3, 8, false), 2.0, 1e-9);
+  EXPECT_NEAR(kept(8, 3, true), 1.0, 1e-9);
+  EXPECT_NEAR(kept(8, 3, false), 1.0, 1e-9);
+  // On a tie the earlier dwell stays.
+  EXPECT_NEAR(kept(5, 5, true), 1.0, 1e-9);
+  EXPECT_NEAR(kept(5, 5, false), 2.0, 1e-9);
 }
 
 }  // namespace
