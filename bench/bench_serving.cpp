@@ -19,7 +19,8 @@
 ///   sockets a served window costs about one in-process batch.
 ///
 ///   wire — 8 connections blast batched ping frames at servers running
-///   1, 2, and 4 reactors. Pings are answered inline on the reactor
+///   1, 2, and 4 reactors, each for a fixed interval timed from when all
+///   of them have connected. Pings are answered inline on the reactor
 ///   thread (no engine hand-off), so this isolates front-end scaling:
 ///   CI gates 4-reactor throughput >= 2x single-reactor on this
 ///   workload (skipped on < 4 cores, where wall-clock parallelism is
@@ -48,6 +49,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <latch>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -661,12 +663,16 @@ int main(int argc, char** argv) {
   {
     const std::size_t connections = quick ? 4 : 8;
     const std::size_t depth = 64;
-    const std::size_t windows = quick ? 8 : 30;
+    // Each cell times a fixed interval that starts once every client has
+    // connected: thread start-up and connection setup stay out of the
+    // rate, and every connection keeps its reactor busy for the whole
+    // interval however the kernel spread the connections.
+    const double interval_s = quick ? 0.05 : 0.25;
     const std::vector<std::size_t> reactor_counts{1, 2, 4};
 
-    std::printf("  wire: %zu connections, %zu pings/window, %zu windows, "
+    std::printf("  wire: %zu connections, %zu pings/window, %.2f s per cell, "
                 "%zu core(s)\n\n",
-                connections, depth, windows, cores);
+                connections, depth, interval_s, cores);
     std::printf("  %-10s %-14s %-10s %s\n", "reactors", "req/s", "p50[ms]",
                 "p99[ms]");
     for (std::size_t n_reactors : reactor_counts) {
@@ -678,30 +684,40 @@ int main(int argc, char** argv) {
       server.start();
 
       std::vector<ClientOutcome> outcomes(connections);
-      const auto t0 = Clock::now();
+      std::latch connected(static_cast<std::ptrdiff_t>(connections));
+      std::latch go(1);
+      Clock::time_point t0;
+      Clock::time_point t_end;
       std::vector<std::thread> threads;
       for (std::size_t c = 0; c < connections; ++c) {
         threads.emplace_back([&, c] {
           ClientOutcome& out = outcomes[c];
+          // One pre-encoded batch per window: a single write syscall
+          // ships `depth` pings, keeping the client side cheap so the
+          // reactor threads are the measured bottleneck.
+          std::vector<std::uint8_t> batch;
+          for (std::size_t d = 0; d < depth; ++d) {
+            net::append_frame(batch, net::FrameType::kPing,
+                              static_cast<std::uint32_t>(d), {});
+          }
+          std::unique_ptr<net::Client> client;
           try {
             net::ClientConfig config;
             config.port = server.port();
             config.io_timeout_s = 120.0;
-            net::Client client(config);
-            // One pre-encoded batch per window: a single write syscall
-            // ships `depth` pings, keeping the client side cheap so the
-            // reactor threads are the measured bottleneck.
-            std::vector<std::uint8_t> batch;
-            for (std::size_t d = 0; d < depth; ++d) {
-              const auto frame = net::encode_frame(
-                  net::FrameType::kPing, static_cast<std::uint32_t>(d), {});
-              batch.insert(batch.end(), frame.begin(), frame.end());
-            }
-            for (std::size_t w = 0; w < windows; ++w) {
+            client = std::make_unique<net::Client>(config);
+          } catch (const std::exception& e) {
+            out.error = e.what();
+          }
+          connected.count_down();
+          go.wait();
+          if (!client) return;
+          try {
+            while (Clock::now() < t_end) {
               const auto w0 = Clock::now();
-              client.send_bytes(batch);
+              client->send_bytes(batch);
               for (std::size_t d = 0; d < depth; ++d) {
-                const net::Frame frame = client.read_frame();
+                const net::Frame frame = client->read_frame();
                 if (frame.type != net::FrameType::kPong ||
                     frame.seq != static_cast<std::uint32_t>(d)) {
                   out.error = "pong mismatch at depth " + std::to_string(d);
@@ -716,6 +732,11 @@ int main(int argc, char** argv) {
           }
         });
       }
+      connected.wait();
+      t0 = Clock::now();
+      t_end = t0 + std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double>(interval_s));
+      go.count_down();
       for (std::thread& t : threads) t.join();
       const double elapsed = seconds_since(t0);
       server.stop();
