@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "rfp/core/fitting.hpp"
 #include "rfp/core/types.hpp"
 #include "rfp/rfsim/reader.hpp"
 
@@ -27,7 +26,6 @@ struct TagtagConfig {
   std::size_t antenna = 0;      ///< which antenna's readings to use
   std::size_t knn_k = 3;        ///< neighbours in the DTW vote
   std::size_t dtw_band = 8;     ///< Sakoe-Chiba band (channels)
-  FittingConfig fitting;        ///< shared pre-processing
 };
 
 class Tagtag {

@@ -90,11 +90,10 @@ IoResult recv_some(int fd, void* buf, std::size_t n);
 /// One send() attempt (SIGPIPE suppressed), EINTR-retried.
 IoResult send_some(int fd, const void* buf, std::size_t n);
 
-/// One scatter-gather write attempt over `iovcnt` iovecs, EINTR-retried.
-/// On sockets this is sendmsg(MSG_NOSIGNAL) — SIGPIPE suppressed like
-/// send_some; on non-socket fds (a bench draining to /dev/null) it falls
-/// back to plain writev. `iov` is the caller's struct iovec array,
-/// declared void* here to keep <sys/uio.h> out of this header.
+/// One scatter-gather write attempt over `iovcnt` iovecs on a socket,
+/// EINTR-retried: sendmsg(MSG_NOSIGNAL), so SIGPIPE is suppressed like
+/// send_some. `iov` is the caller's struct iovec array, declared void*
+/// here to keep <sys/uio.h> out of this header.
 IoResult writev_some(int fd, const void* iov, int iovcnt);
 
 /// Blocking send of the whole buffer with a poll()-enforced deadline.

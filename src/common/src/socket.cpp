@@ -189,8 +189,7 @@ IoResult writev_some(int fd, const void* iov, int iovcnt) {
   msg.msg_iov = const_cast<struct iovec*>(vecs);
   msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(iovcnt);
   for (;;) {
-    ssize_t rc = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (rc < 0 && errno == ENOTSOCK) rc = ::writev(fd, vecs, iovcnt);
+    const ssize_t rc = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (rc >= 0) return {IoStatus::kOk, static_cast<std::size_t>(rc)};
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {

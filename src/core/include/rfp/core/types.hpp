@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,6 +29,25 @@ struct DeploymentGeometry {
 
   std::size_t n_antennas() const { return antenna_positions.size(); }
 };
+
+/// True when every antenna position and frame axis, both working-region
+/// corners and the tag-plane height are finite. RfPrism's constructor and
+/// read_geometry() reject a geometry that is not.
+inline bool is_finite(const DeploymentGeometry& geometry) {
+  const auto finite = [](const Vec3& v) {
+    return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
+  };
+  for (const Vec3& p : geometry.antenna_positions) {
+    if (!finite(p)) return false;
+  }
+  for (const OrthoFrame& f : geometry.antenna_frames) {
+    if (!finite(f.u) || !finite(f.v) || !finite(f.n)) return false;
+  }
+  const Rect& region = geometry.working_region;
+  return std::isfinite(region.lo.x) && std::isfinite(region.lo.y) &&
+         std::isfinite(region.hi.x) && std::isfinite(region.hi.y) &&
+         std::isfinite(geometry.tag_plane_z);
+}
 
 /// One antenna's pre-processed multi-frequency trace, exactly the input of
 /// the line fit: one denoised, pi-jump corrected phase per channel. The

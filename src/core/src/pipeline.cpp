@@ -49,6 +49,8 @@ RfPrism::RfPrism(RfPrismConfig config) : config_(std::move(config)) {
   require(config_.geometry.antenna_frames.size() ==
               config_.geometry.n_antennas(),
           "RfPrism: antenna frames/positions mismatch");
+  require(is_finite(config_.geometry),
+          "RfPrism: non-finite deployment geometry");
   if (config_.disentangle.drift.enable) {
     drift_ = std::make_unique<LockedDrift>(config_.geometry.n_antennas(),
                                            config_.disentangle.drift);

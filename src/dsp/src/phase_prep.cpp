@@ -14,9 +14,15 @@ ChannelPhase aggregate_dwell(double frequency_hz,
   require(!raw_phases.empty(), "aggregate_dwell: no reads");
   require(frequency_hz > 0.0, "aggregate_dwell: bad frequency");
 
+  // One scratch buffer per thread serves both passes below (the doubled
+  // reads, then the corrected ones): a sense aggregates hundreds of dwells,
+  // and fresh vectors would cost two heap allocations each.
+  thread_local std::vector<double> scratch;
+  scratch.resize(raw_phases.size());
+
   // Fold modulo pi by doubling the angle: 2*(theta + pi) == 2*theta (mod
   // 2*pi), so the pi ambiguity vanishes on the doubled circle.
-  std::vector<double> doubled(raw_phases.size());
+  std::vector<double>& doubled = scratch;
   for (std::size_t i = 0; i < raw_phases.size(); ++i) {
     doubled[i] = wrap_to_2pi(2.0 * raw_phases[i]);
   }
@@ -26,7 +32,7 @@ ChannelPhase aggregate_dwell(double frequency_hz,
   // majority cluster fixes the half-turn.
   const double alt = wrap_to_2pi(folded_mean + kPi);
   std::size_t votes_base = 0;
-  std::vector<double> corrected(raw_phases.size());
+  std::vector<double>& corrected = scratch;
   for (std::size_t i = 0; i < raw_phases.size(); ++i) {
     const double d_base = std::abs(ang_diff(raw_phases[i], folded_mean));
     const double d_alt = std::abs(ang_diff(raw_phases[i], alt));

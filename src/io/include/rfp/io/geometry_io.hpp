@@ -25,8 +25,8 @@ namespace rfp {
 void write_geometry(std::ostream& os, const DeploymentGeometry& geometry);
 
 /// Parse a geometry. Throws Error on syntax/version problems and on
-/// non-finite values. Semantic validation (>= 3 antennas, region extent)
-/// stays with RfPrism's constructor.
+/// non-finite values (is_finite). Semantic validation (>= 3 antennas,
+/// region extent) stays with RfPrism's constructor.
 DeploymentGeometry read_geometry(std::istream& is);
 
 void save_geometry(const std::string& path,

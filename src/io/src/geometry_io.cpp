@@ -1,6 +1,5 @@
 #include "rfp/io/geometry_io.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <istream>
@@ -22,10 +21,6 @@ constexpr const char* kVersion = "v1";
 
 bool read_vec3(std::istream& is, Vec3& v) {
   return static_cast<bool>(is >> v.x >> v.y >> v.z);
-}
-
-bool finite(const Vec3& v) {
-  return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
 }
 
 }  // namespace
@@ -74,10 +69,6 @@ DeploymentGeometry read_geometry(std::istream& is) {
         !read_vec3(is, frame.n)) {
       parse_fail("truncated antenna line");
     }
-    if (!finite(geometry.antenna_positions[i]) || !finite(frame.u) ||
-        !finite(frame.v) || !finite(frame.n)) {
-      parse_fail("non-finite antenna values");
-    }
   }
 
   if (!(is >> token) || token != "region" ||
@@ -89,13 +80,7 @@ DeploymentGeometry read_geometry(std::istream& is) {
       !(is >> geometry.tag_plane_z)) {
     parse_fail("bad tag-plane-z line");
   }
-  if (!std::isfinite(geometry.working_region.lo.x) ||
-      !std::isfinite(geometry.working_region.lo.y) ||
-      !std::isfinite(geometry.working_region.hi.x) ||
-      !std::isfinite(geometry.working_region.hi.y) ||
-      !std::isfinite(geometry.tag_plane_z)) {
-    parse_fail("non-finite region values");
-  }
+  if (!is_finite(geometry)) parse_fail("non-finite values");
   return geometry;
 }
 

@@ -8,9 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "rfp/common/buffer_pool.hpp"
 #include "rfp/common/socket.hpp"
-#include "rfp/core/antenna_health.hpp"
 #include "rfp/core/deployment_registry.hpp"
 #include "rfp/core/engine.hpp"
 #include "rfp/core/pipeline.hpp"
@@ -48,11 +46,10 @@
 /// out-of-order completions exceed the cap is shed (counted in
 /// reorder_evictions) rather than growing server memory without bound.
 ///
-/// Data path: response frames are encoded straight into buffers from the
-/// reactor's BufferPool, spliced (moved) into the connection's Outbox
-/// segment chain, and drained with writev — zero steady-state heap
-/// allocations and no flattening copy on the outbound side (see DESIGN.md
-/// §9 "Data path & memory").
+/// Data path: each response is encoded into its own byte vector, which
+/// moves through the reorder ring into the connection's write queue and is
+/// drained with writev straight from there — no response is flattened or
+/// copied on the way out (see DESIGN.md §9 "Data path & memory").
 ///
 /// Backpressure: a connection with `max_pending_per_connection` requests
 /// in flight (or an unflushed output backlog past the write buffer cap)
@@ -130,16 +127,6 @@ struct ServerConfig {
   /// kTrackEvents frame. Off by default — the serving path is then
   /// byte-identical to the pre-tracking server.
   track::TrackingConfig tracking;
-  /// Per-reactor buffer pool owning all connection I/O memory: response
-  /// frames are encoded into pooled buffers, spliced into per-connection
-  /// outboxes, drained by writev, and returned — zero steady-state heap
-  /// traffic on the wire path (rfpd --pool-buffers tunes the freelist
-  /// depth).
-  BufferPoolConfig pool;
-  /// Outbound frames at or under this size are packed into the tail
-  /// outbox segment (one small copy) instead of occupying their own
-  /// segment, keeping writev iovec chains short under pong floods.
-  std::size_t outbox_coalesce_limit = 512;
 };
 
 struct ServerStats {
@@ -168,15 +155,11 @@ struct ServerStats {
   std::size_t tenants_resident = 0;
   std::uint64_t tenants_evicted = 0;
 
-  // -- Data path (per-reactor pools, outbox splices, writev drains) ------
-  std::uint64_t pool_hits = 0;      ///< buffer acquires served off freelists
-  std::uint64_t pool_misses = 0;    ///< acquires that hit the heap
-  std::uint64_t pool_discards = 0;  ///< returned buffers freed, not kept
-  std::size_t pool_bytes_resident = 0;
-  std::uint64_t frames_spliced = 0;    ///< response buffers moved, not copied
-  std::uint64_t frames_coalesced = 0;  ///< small frames packed into a tail
-  std::uint64_t bytes_coalesced = 0;   ///< bytes copied by that packing
-  std::uint64_t writev_calls = 0;      ///< scatter-gather drains issued
+  // -- Data path -----------------------------------------------------------
+  std::uint64_t writev_calls = 0;  ///< scatter-gather drains issued
+  /// Always 0: responses are plain vectors, with no buffer pool to miss.
+  /// Kept because perfbench's `serve` workload still reports it.
+  std::uint64_t pool_misses = 0;
 
   // -- Drift self-calibration: the default deployment's estimate, fed by
   //    its senses and streams alike (all-zero unless the default prism
@@ -198,12 +181,9 @@ class Server {
   /// Binds and listens immediately (config.reactors listeners); throws
   /// NetError when the address can't be bound. `prism` becomes the
   /// registry's default tenant and the solver-settings template for
-  /// session tenants. `health` optionally gates quarantined ports exactly
-  /// as in RfPrism::sense — for the default tenant only (port health is
-  /// deployment-specific).
+  /// session tenants.
   Server(const RfPrism& prism, SensingEngine& engine,
-         ServerConfig config = {},
-         const AntennaHealthMonitor* health = nullptr);
+         ServerConfig config = {});
 
   /// Requests stop, drains in-flight solves, joins the reactor threads.
   ~Server();
@@ -246,7 +226,6 @@ class Server {
 
   const RfPrism& prism_;
   SensingEngine& engine_;
-  const AntennaHealthMonitor* health_;
   ServerConfig config_;
 
   DeploymentRegistry registry_;

@@ -128,8 +128,7 @@ struct Frame {
 };
 
 /// One decoded frame whose payload points into the decoder's own storage
-/// — no copy. Valid until the *next* call to that decoder's next();
-/// feed() never invalidates an outstanding view (see FrameDecoder).
+/// — no copy. Valid until that decoder's next feed() or next() call.
 struct FrameView {
   FrameType type = FrameType::kError;
   std::uint32_t seq = 0;
@@ -175,21 +174,13 @@ bool is_decode_error(DecodeStatus status);
 /// any error status the decoder stays failed (a framing error leaves no
 /// way to resynchronize a length-prefixed stream).
 ///
-/// Storage is a compacting ring: live bytes sit at [head_, size) of one
-/// vector, and the dead prefix is erased in place once it dominates.
-/// next(FrameView&) yields payload spans into that storage under a strict
-/// lifetime contract:
-///
-///  - a view is valid until the *next* call to next() on this decoder
-///    (any status — the following next() may compact over the payload);
-///  - feed() never invalidates the outstanding view. When an append
-///    would have to reallocate under a live view, the old block is
-///    retired — kept alive, un-moved — and live unparsed bytes move to a
-///    fresh block; the retired block is freed on the next next() call.
-///
-/// So the serving loop's natural shape — feed(); while (next(view) ==
-/// kFrame) handle(view); — touches each payload byte exactly once, in
-/// place, with no per-frame allocation.
+/// Storage is one compacting vector: live bytes sit at [head_, size), and
+/// the dead prefix is erased once it dominates (in next()) or before the
+/// vector grows (in feed()). next(FrameView&) yields payload spans into
+/// that storage, valid until the decoder's next feed() or next() call —
+/// either may move the bytes. The serving loop consumes each view before
+/// asking for the next one, so it reads each payload byte in place, with
+/// no per-frame allocation.
 class FrameDecoder {
  public:
   explicit FrameDecoder(std::size_t max_payload = kDefaultMaxPayload)
@@ -214,10 +205,6 @@ class FrameDecoder {
   std::size_t max_payload_;
   std::vector<std::uint8_t> buffer_;
   std::size_t head_ = 0;  ///< first unconsumed byte in buffer_
-  /// Previous storage block pinned under the outstanding view after a
-  /// feed() that had to reallocate. Freed by the next next() call.
-  std::vector<std::uint8_t> retired_;
-  bool view_live_ = false;
   DecodeStatus failed_ = DecodeStatus::kNeedMore;  // latched error, if any
   std::uint16_t peer_version_ = 0;
 };
@@ -225,11 +212,11 @@ class FrameDecoder {
 // -- Payload codecs ------------------------------------------------------
 // Encoders trust their input; decoders are total (false on malformed,
 // including trailing bytes). Every encode_* has an encode_*_into overload
-// appending the identical bytes through a caller-owned ByteWriter — the
-// zero-copy path: the server writes payloads straight into pooled frame
-// buffers (between begin_frame/end_frame) instead of materializing a
-// payload vector per response. The vector-returning forms are thin
-// wrappers over the _into forms, so the wire bytes cannot diverge.
+// appending the identical bytes through a caller-owned ByteWriter: the
+// server writes each payload straight behind its frame header (between
+// begin_frame/end_frame) instead of materializing a payload vector per
+// response. The vector-returning forms are thin wrappers over the _into
+// forms, so the wire bytes cannot diverge.
 
 void encode_sense_request_into(ByteWriter& w, std::string_view tag_id,
                                const RoundTrace& round);

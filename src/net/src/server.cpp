@@ -11,10 +11,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <deque>
 #include <map>
 #include <span>
-
-#include "rfp/net/outbox.hpp"
 
 namespace rfp::net {
 
@@ -37,6 +36,11 @@ const char* decode_error_message(DecodeStatus status) {
   }
 }
 
+/// Capacity reserved for each sense response. Responses run 3-5 KB (more
+/// antennas and channels, more bytes), so one takes one allocation, or two
+/// past 4 KiB, instead of a dozen doublings from empty.
+constexpr std::size_t kSenseResponseReserve = 4096;
+
 }  // namespace
 
 /// One reactor: a listener in the SO_REUSEPORT group, its accepted
@@ -48,7 +52,6 @@ class Server::Reactor {
  public:
   Reactor(Server& server, UniqueFd listener)
       : server_(server), listener_(std::move(listener)),
-        pool_(server.config_.pool),
         ready_slots_(std::bit_ceil(
             std::max<std::size_t>(1, server.config_.max_pending_per_connection))) {
     int pipe_fds[2];
@@ -100,13 +103,6 @@ class Server::Reactor {
     out.stream_results += stats_.stream_results;
     out.stream_evictions += stats_.stream_evictions;
     out.stream_track_events += stats_.stream_track_events;
-    out.pool_hits += stats_.pool_hits;
-    out.pool_misses += stats_.pool_misses;
-    out.pool_discards += stats_.pool_discards;
-    out.pool_bytes_resident += stats_.pool_bytes_resident;
-    out.frames_spliced += stats_.frames_spliced;
-    out.frames_coalesced += stats_.frames_coalesced;
-    out.bytes_coalesced += stats_.bytes_coalesced;
     out.writev_calls += stats_.writev_calls;
   }
 
@@ -130,11 +126,15 @@ class Server::Reactor {
     std::unique_ptr<StreamingSensor> sensor;
     std::uint64_t sensor_evictions_seen = 0;
 
-    Outbox out;  ///< unflushed response bytes (pooled segment chain)
+    /// Unflushed responses in emission order, one vector per response;
+    /// the first `out_front_sent` bytes of the front one are written.
+    std::deque<std::vector<std::uint8_t>> out;
+    std::size_t out_front_sent = 0;
+    std::size_t out_bytes = 0;  ///< unsent bytes across `out`
 
     // Per-connection ordering: request `index` values are assigned as
     // frames arrive; finished responses wait in the `ready` ring until
-    // everything earlier has been spliced into `out`. The ring has
+    // everything earlier has been queued on `out`. The ring has
     // bit_ceil(max_pending_per_connection) slots and in_flight is gated
     // below max_pending before an index is assigned, so two live indices
     // can never share a slot — ordering with zero per-request allocation.
@@ -143,7 +143,7 @@ class Server::Reactor {
     struct ReadyResponse {
       bool present = false;
       bool failed = false;
-      PooledBuffer bytes;
+      std::vector<std::uint8_t> bytes;
     };
     std::vector<ReadyResponse> ready;  ///< power-of-two reorder ring
     std::size_t ready_count = 0;  ///< parked responses
@@ -165,11 +165,10 @@ class Server::Reactor {
     // for already-accepted requests have been written (ordering survives
     // even the connection's own teardown).
     bool has_pending_fatal = false;
-    PooledBuffer pending_fatal;
+    std::vector<std::uint8_t> pending_fatal;
 
-    Connection(std::size_t max_payload, OutboxCounters* outbox_counters,
-               std::size_t coalesce_limit, std::size_t ready_slots)
-        : decoder(max_payload), out(outbox_counters, coalesce_limit) {
+    Connection(std::size_t max_payload, std::size_t ready_slots)
+        : decoder(max_payload) {
       ready.resize(ready_slots);
     }
 
@@ -177,7 +176,23 @@ class Server::Reactor {
       return ready[index & (ready.size() - 1)];
     }
 
-    std::size_t write_backlog() const { return out.size(); }
+    void queue(std::vector<std::uint8_t> response) {
+      out_bytes += response.size();
+      out.push_back(std::move(response));
+    }
+
+    /// Drop `n` written bytes from the front of `out`.
+    void consume(std::size_t n) {
+      out_bytes -= n;
+      n += out_front_sent;
+      while (!out.empty() && n >= out.front().size()) {
+        n -= out.front().size();
+        out.pop_front();
+      }
+      out_front_sent = n;
+    }
+
+    std::size_t write_backlog() const { return out_bytes; }
     bool drained() const {
       return in_flight == 0 && ready_count == 0 && write_backlog() == 0 &&
              !has_pending_fatal;
@@ -194,7 +209,7 @@ class Server::Reactor {
     std::uint64_t conn_id = 0;
     std::uint64_t index = 0;
     bool failed = false;
-    PooledBuffer bytes;
+    std::vector<std::uint8_t> bytes;
   };
 
   bool wants_read(const Connection& conn) const {
@@ -211,19 +226,10 @@ class Server::Reactor {
   }
 
   void refresh_stats() {
-    // Data-path counters live reactor-thread-local (outbox splices) or
-    // behind the pool's own lock; fold them into the shared snapshot here
-    // so stats() readers never race the hot path.
-    const BufferPoolStats pool_stats = pool_.stats();
+    // The writev count lives reactor-thread-local; fold it into the shared
+    // snapshot here so stats() readers never race the hot path.
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.connections_open = connections_.size();
-    stats_.pool_hits = pool_stats.hits;
-    stats_.pool_misses = pool_stats.misses;
-    stats_.pool_discards = pool_stats.discards;
-    stats_.pool_bytes_resident = pool_stats.bytes_resident;
-    stats_.frames_spliced = outbox_counters_.frames_spliced;
-    stats_.frames_coalesced = outbox_counters_.frames_coalesced;
-    stats_.bytes_coalesced = outbox_counters_.bytes_coalesced;
     stats_.writev_calls = writev_calls_;
   }
 
@@ -352,8 +358,7 @@ class Server::Reactor {
         }
         if (conn.has_pending_fatal && conn.in_flight == 0 &&
             conn.ready_count == 0) {
-          // Spliced, not copied: the goodbye buffer moves into the chain.
-          conn.out.push(std::move(conn.pending_fatal));
+          conn.queue(std::move(conn.pending_fatal));
           conn.has_pending_fatal = false;
           conn.close_after_flush = true;
         }
@@ -427,9 +432,8 @@ class Server::Reactor {
         ++stats_.connections_rejected;
         continue;
       }
-      auto conn = std::make_unique<Connection>(
-          server_.config_.max_payload, &outbox_counters_,
-          server_.config_.outbox_coalesce_limit, ready_slots_);
+      auto conn = std::make_unique<Connection>(server_.config_.max_payload,
+                                               ready_slots_);
       conn->id = next_connection_id_++;
       conn->fd = std::move(fd);
       conn->tenant = server_.default_tenant_;
@@ -472,23 +476,23 @@ class Server::Reactor {
     return true;
   }
 
-  /// An error frame in a pooled buffer (the only copies are the message
-  /// bytes themselves, once, onto the wire encoding).
-  PooledBuffer make_error_frame(std::uint32_t seq, WireError code,
-                                std::string_view message,
-                                std::uint16_t version = kVersion) {
-    PooledBuffer buf = pool_.acquire();
-    ByteWriter w(buf.storage());
+  /// A kError frame (at the peer's `version` for a version goodbye).
+  static std::vector<std::uint8_t> make_error_frame(
+      std::uint32_t seq, WireError code, std::string_view message,
+      std::uint16_t version = kVersion) {
+    std::vector<std::uint8_t> buf;
+    ByteWriter w(buf);
     const std::size_t frame = begin_frame(w, FrameType::kError, seq, version);
     encode_error_payload_into(w, code, message);
     end_frame(w, frame);
     return buf;
   }
 
-  /// A payload-less frame (kPong, kSessionClosed) in a pooled buffer.
-  PooledBuffer make_empty_frame(FrameType type, std::uint32_t seq) {
-    PooledBuffer buf = pool_.acquire();
-    ByteWriter w(buf.storage());
+  /// A payload-less frame (kPong, kSessionClosed).
+  static std::vector<std::uint8_t> make_empty_frame(FrameType type,
+                                                    std::uint32_t seq) {
+    std::vector<std::uint8_t> buf;
+    ByteWriter w(buf);
     end_frame(w, begin_frame(w, type, seq));
     return buf;
   }
@@ -498,7 +502,7 @@ class Server::Reactor {
     while (conn.in_flight < server_.config_.max_pending_per_connection) {
       // The view's payload lives in the decoder's storage and is consumed
       // in place by handle_frame before the loop advances — the decoder
-      // guarantees it stays put until the next next() call.
+      // guarantees it stays put until the next feed() or next() call.
       FrameView frame;
       const DecodeStatus status = conn.decoder.next(frame);
       if (status == DecodeStatus::kNeedMore) return;
@@ -630,8 +634,8 @@ class Server::Reactor {
           conn.tenant->prism().config().geometry.n_antennas());
       ready.drift_enabled = conn.tenant->prism().drift_enabled();
       ready.tracking_enabled = conn.tracking;
-      PooledBuffer buf = pool_.acquire();
-      ByteWriter w(buf.storage());
+      std::vector<std::uint8_t> buf;
+      ByteWriter w(buf);
       const std::size_t f = begin_frame(w, FrameType::kSessionReady, frame.seq);
       encode_session_ready_into(w, ready);
       end_frame(w, f);
@@ -697,8 +701,8 @@ class Server::Reactor {
         stats_.stream_results += results.size();
         stats_.stream_evictions += evicted;
       }
-      PooledBuffer response = pool_.acquire();
-      ByteWriter w(response.storage());
+      std::vector<std::uint8_t> response;
+      ByteWriter w(response);
       const std::size_t results_frame =
           begin_frame(w, FrameType::kStreamResults, frame.seq);
       encode_stream_results_into(w, results);
@@ -706,8 +710,8 @@ class Server::Reactor {
       if (conn.tracking && conn.tracker) {
         // The poll already fed the tracker (TrackSink); drain its events
         // into a kTrackEvents frame encoded back-to-back in the same
-        // response buffer, so per-connection ordering holds with one
-        // reorder slot and one outbox segment.
+        // response vector, so per-connection ordering holds with one
+        // reorder slot.
         const std::vector<track::TrackEvent> events =
             conn.tracker->take_events();
         {
@@ -733,7 +737,7 @@ class Server::Reactor {
   }
 
   void finish_local(Connection& conn, std::uint64_t index, bool failed,
-                    PooledBuffer frame_bytes) {
+                    std::vector<std::uint8_t> frame_bytes) {
     Connection::ReadyResponse& slot = conn.ready_slot(index);
     slot.present = true;
     slot.failed = failed;
@@ -757,22 +761,16 @@ class Server::Reactor {
                      tenant = conn.tenant, tag_id = std::move(tag_id),
                      round = std::move(round)]() mutable {
       bool failed = false;
-      // The pool is thread-safe precisely for this: solve workers encode
-      // responses straight into the owning reactor's pooled buffers.
-      PooledBuffer bytes = pool_.acquire();
+      std::vector<std::uint8_t> bytes;
+      bytes.reserve(kSenseResponseReserve);
       try {
         const RfPrism& prism = tenant->prism();
-        // Port-health gating is deployment-specific: the monitor the
-        // server was built with only speaks for the default deployment.
-        const AntennaHealthMonitor* health =
-            tenant->is_default() ? server_.health_ : nullptr;
-        const SensingResult result =
-            prism.sense(round, engine(), tag_id, health);
+        const SensingResult result = prism.sense(round, engine(), tag_id);
         // The tenant's prism owns the deployment's drift estimate (a no-op
         // without drift): every connection's senses and streams of this
         // deployment advance the same one.
         prism.observe_drift(result);
-        ByteWriter w(bytes.storage());
+        ByteWriter w(bytes);
         const std::size_t f = begin_frame(w, FrameType::kSenseResponse, seq);
         encode_sense_response_into(w, result);
         end_frame(w, f);
@@ -781,15 +779,15 @@ class Server::Reactor {
         // client's fault, not ours. Clear first: the solve (or encode)
         // may have died mid-frame.
         failed = true;
-        bytes.storage().clear();
-        ByteWriter w(bytes.storage());
+        bytes.clear();
+        ByteWriter w(bytes);
         const std::size_t f = begin_frame(w, FrameType::kError, seq);
         encode_error_payload_into(w, WireError::kMalformedPayload, e.what());
         end_frame(w, f);
       } catch (const std::exception& e) {
         failed = true;
-        bytes.storage().clear();
-        ByteWriter w(bytes.storage());
+        bytes.clear();
+        ByteWriter w(bytes);
         const std::size_t f = begin_frame(w, FrameType::kError, seq);
         encode_error_payload_into(w, WireError::kInternal, e.what());
         end_frame(w, f);
@@ -836,9 +834,7 @@ class Server::Reactor {
       if (!slot.present) break;
       conn.ready_bytes -= slot.bytes.size();
       const bool failed = slot.failed;
-      // Spliced into the outbox, not copied: the response buffer itself
-      // becomes a write segment (small frames coalesce into the tail).
-      conn.out.push(std::move(slot.bytes));
+      conn.queue(std::move(slot.bytes));
       slot.present = false;
       slot.failed = false;
       --conn.ready_count;
@@ -858,17 +854,23 @@ class Server::Reactor {
   }
 
   bool write_ready(Connection& conn) {
-    // Scatter-gather drain: hand the kernel the segment chain as it is —
-    // no flattening copy. 64 iovecs per call covers any realistic burst
-    // (coalescing keeps small frames from fragmenting the chain).
+    // Scatter-gather drain: hand the kernel the queued responses as they
+    // are — no flattening copy — up to 64 per call.
     constexpr std::size_t kMaxWriteIov = 64;
     struct iovec iov[kMaxWriteIov];
-    while (!conn.out.empty()) {
-      const std::size_t n_iov = conn.out.fill_iovec(iov, kMaxWriteIov);
+    while (conn.write_backlog() > 0) {
+      std::size_t n_iov = 0;
+      std::size_t skip = conn.out_front_sent;
+      for (auto it = conn.out.begin();
+           it != conn.out.end() && n_iov < kMaxWriteIov; ++it, ++n_iov) {
+        iov[n_iov].iov_base = it->data() + skip;
+        iov[n_iov].iov_len = it->size() - skip;
+        skip = 0;
+      }
       const IoResult r =
           writev_some(conn.fd.get(), iov, static_cast<int>(n_iov));
       if (r.status == IoStatus::kOk) {
-        conn.out.consume(r.bytes);
+        conn.consume(r.bytes);
         conn.last_progress = now_s();
         ++writev_calls_;
         std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -894,11 +896,6 @@ class Server::Reactor {
   UniqueFd wake_read_;
   UniqueFd wake_write_;
 
-  // Declared before connections_/completions_ on purpose: members destroy
-  // in reverse order, so every pooled buffer still alive in a connection's
-  // outbox or a parked completion returns into a live pool.
-  BufferPool pool_;
-  OutboxCounters outbox_counters_;
   std::uint64_t writev_calls_ = 0;
   std::size_t ready_slots_ = 1;
   /// Decode scratch for kStreamPush payloads, reused across frames.
@@ -922,9 +919,8 @@ class Server::Reactor {
 };
 
 Server::Server(const RfPrism& prism, SensingEngine& engine,
-               ServerConfig config, const AntennaHealthMonitor* health)
-    : prism_(prism), engine_(engine), health_(health),
-      config_(std::move(config)),
+               ServerConfig config)
+    : prism_(prism), engine_(engine), config_(std::move(config)),
       registry_(config_.max_tenants) {
   if (config_.reactors == 0) config_.reactors = 1;
   default_tenant_ = registry_.set_default(prism_);

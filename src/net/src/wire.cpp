@@ -66,49 +66,18 @@ bool is_decode_error(DecodeStatus status) {
 
 void FrameDecoder::feed(std::span<const std::uint8_t> data) {
   if (is_decode_error(failed_)) return;  // poisoned: drop further input
-  if (data.empty()) return;
-  if (buffer_.size() + data.size() <= buffer_.capacity()) {
-    // No reallocation: an outstanding view (which lives at [x, head_) of
-    // this block) cannot move.
-    buffer_.insert(buffer_.end(), data.begin(), data.end());
-    return;
+  if (head_ > 0 && buffer_.size() + data.size() > buffer_.capacity()) {
+    // About to grow: drop the dead prefix first so a fat connection
+    // doesn't carry it through the reallocation.
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
-  if (!view_live_) {
-    // Free to rearrange: drop the dead prefix first so a fat connection
-    // doesn't carry it through the reallocation, then grow.
-    if (head_ > 0) {
-      buffer_.erase(buffer_.begin(),
-                    buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
-    }
-    buffer_.insert(buffer_.end(), data.begin(), data.end());
-    return;
-  }
-  // Growth under a live view: the view's bytes must stay put, so retire
-  // the current block (kept alive until the next next() call) and move
-  // only the live unparsed region to a fresh block.
-  std::vector<std::uint8_t> fresh;
-  fresh.reserve(std::max(buffer_.size() - head_ + data.size(),
-                         buffer_.capacity() * 2));
-  fresh.insert(fresh.end(), buffer_.begin() + static_cast<std::ptrdiff_t>(head_),
-               buffer_.end());
-  fresh.insert(fresh.end(), data.begin(), data.end());
-  if (retired_.empty()) {
-    // The view points into buffer_: pin it. (If retired_ is already
-    // holding the view's block from an earlier feed, buffer_ has no view
-    // into it and can simply be replaced.)
-    retired_ = std::move(buffer_);
-  }
-  buffer_ = std::move(fresh);
-  head_ = 0;
+  buffer_.insert(buffer_.end(), data.begin(), data.end());
 }
 
 DecodeStatus FrameDecoder::next(FrameView& out) {
   if (is_decode_error(failed_)) return failed_;
-  // The previously yielded view expires now: release its pinned block and
-  // allow compaction over its bytes.
-  view_live_ = false;
-  if (!retired_.empty()) retired_ = std::vector<std::uint8_t>{};
   // Compact once the dead prefix dominates, so a long-lived connection
   // doesn't hold on to every byte it ever received.
   if (head_ > 4096 && head_ * 2 > buffer_.size()) {
@@ -140,7 +109,6 @@ DecodeStatus FrameDecoder::next(FrameView& out) {
   out.seq = seq;
   out.payload = pending.subspan(kHeaderSize, payload_len);
   head_ += kHeaderSize + payload_len;
-  view_live_ = true;
   return DecodeStatus::kFrame;
 }
 

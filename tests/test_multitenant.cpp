@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -384,6 +385,34 @@ TEST(MultiTenant, RegistryExhaustionSurfacesAsRemoteError) {
   const net::ServerStats stats = server.stats();
   EXPECT_EQ(stats.tenants_evicted, 1u);
   EXPECT_EQ(stats.tenants_resident, 2u);
+}
+
+TEST(MultiTenant, NonFiniteSessionGeometryIsMalformed) {
+  // A shipped geometry with a NaN antenna position is refused as a
+  // malformed payload: it opens no session and takes no registry slot, and
+  // the connection stays usable on the default tenant.
+  const Testbed& bed_a = default_bed();
+  SensingEngine engine(1);
+  Server server(bed_a.prism(), engine);
+  server.start();
+
+  DeploymentGeometry geometry = bed_b().prism().config().geometry;
+  geometry.antenna_positions[1].x = std::numeric_limits<double>::quiet_NaN();
+  Client client(client_config(server.port()));
+  try {
+    client.setup_session(geometry, bed_b().prism().calibrations());
+    FAIL() << "a non-finite geometry was admitted";
+  } catch (const RemoteError& e) {
+    EXPECT_EQ(e.code(),
+              static_cast<std::uint32_t>(WireError::kMalformedPayload));
+  }
+  EXPECT_FALSE(client.has_session());
+  client.ping();
+
+  server.stop();
+  const net::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.sessions_opened, 0u);
+  EXPECT_EQ(stats.tenants_resident, 1u);
 }
 
 TEST(MultiTenant, MalformedSessionSetupKeepsConnectionUsable) {

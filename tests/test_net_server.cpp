@@ -197,6 +197,45 @@ TEST(NetServer, PipelinedResponsesArriveInRequestOrder) {
   EXPECT_GT(server.stats().backpressure_pauses, 0u);
 }
 
+TEST(NetServer, BackloggedResponsesSurvivePartialWrites) {
+  // Pipeline several MB of pings and read no pong until the server has
+  // answered them all. A wide in-flight window lets it answer in bulk, so
+  // the answers outgrow the kernel's socket buffers: writev comes back
+  // short and the rest waits in the connection's write queue (under
+  // max_write_backlog, so the server keeps reading and the send
+  // completes). Every pong must then arrive whole, once, in request order.
+  const Testbed& bed = shared_bed();
+  SensingEngine engine(1);
+  ServerConfig config;
+  config.max_pending_per_connection = 1u << 16;
+  Server server(bed.prism(), engine, config);
+  server.start();
+
+  constexpr std::uint32_t kPings = 400'000;  // 6.4 MB each way
+  std::vector<std::uint8_t> burst;
+  burst.reserve(std::size_t{kPings} * net::kHeaderSize);
+  for (std::uint32_t k = 0; k < kPings; ++k) {
+    net::append_frame(burst, FrameType::kPing, k, {});
+  }
+  Client client(client_config(server.port()));
+  client.send_bytes(burst);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().requests_completed < kPings) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "server never answered all " << kPings << " pings";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (std::uint32_t k = 0; k < kPings; ++k) {
+    const Frame frame = client.read_frame();
+    ASSERT_EQ(frame.type, FrameType::kPong) << "response " << k;
+    ASSERT_EQ(frame.seq, k) << "response " << k;
+  }
+
+  server.stop();
+  EXPECT_EQ(server.stats().bytes_sent, burst.size());
+}
+
 TEST(NetServer, GracefulShutdownDrainsAcceptedRequests) {
   const Testbed& bed = shared_bed();
   const std::vector<RoundTrace> corpus = make_corpus(bed, 2, 2);

@@ -1,5 +1,8 @@
 #include "rfp/core/pipeline.hpp"
 
+#include <iterator>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "rfp/common/angles.hpp"
@@ -142,6 +145,34 @@ TEST_F(PipelineTest, AntennaCountMismatchThrows) {
   RoundTrace round;
   round.n_antennas = 2;
   EXPECT_THROW(prism_->sense(round), InvalidArgument);
+}
+
+TEST_F(PipelineTest, NonFiniteGeometryIsRejected) {
+  // A NaN or an infinity anywhere in the geometry fails construction
+  // instead of reaching a solve.
+  const DeploymentGeometry good = exact_geometry(scene_);
+  using Poison = void (*)(DeploymentGeometry&, double);
+  const Poison poisons[] = {
+      [](DeploymentGeometry& g, double x) { g.antenna_positions[1].y = x; },
+      [](DeploymentGeometry& g, double x) { g.antenna_frames[2].u.z = x; },
+      [](DeploymentGeometry& g, double x) { g.antenna_frames[0].v.x = x; },
+      [](DeploymentGeometry& g, double x) { g.antenna_frames[1].n.y = x; },
+      [](DeploymentGeometry& g, double x) { g.working_region.lo.x = x; },
+      [](DeploymentGeometry& g, double x) { g.working_region.hi.y = x; },
+      [](DeploymentGeometry& g, double x) { g.tag_plane_z = x; },
+  };
+  RfPrismConfig config;
+  config.geometry = good;
+  EXPECT_NO_THROW(RfPrism{config});
+  for (std::size_t p = 0; p < std::size(poisons); ++p) {
+    for (const double x : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+      config.geometry = good;
+      poisons[p](config.geometry, x);
+      EXPECT_THROW(RfPrism{config}, InvalidArgument)
+          << "poison " << p << " value " << x;
+    }
+  }
 }
 
 TEST_F(PipelineTest, ReaderCalibratedFlag) {

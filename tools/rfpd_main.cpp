@@ -10,7 +10,6 @@
 ///   rfpd [--port N] [--bind ADDR] [--threads N] [--reactors N]
 ///        [--seed S] [--antennas N] [--multipath] [--idle-timeout SEC]
 ///        [--max-conns N] [--max-pending N] [--max-tenants N]
-///        [--pool-buffers N]
 ///        [--geometry FILE] [--calibration FILE] [--drift] [--track]
 ///
 /// --port 0 binds an ephemeral port; the actual port is printed on the
@@ -54,9 +53,6 @@ struct DaemonOptions {
   std::size_t max_connections = 64;
   std::size_t max_pending = 32;   ///< per-connection backpressure limit
   std::size_t max_tenants = 16;   ///< deployment-registry capacity
-  /// Per-reactor buffer-pool residency cap (freelist slots per size
-  /// class); 0 keeps the BufferPoolConfig default.
-  std::size_t pool_buffers = 0;
   bool drift = false;             ///< online drift self-calibration
   bool track = false;             ///< grant per-session trajectory tracking
   /// Serve a surveyed deployment from files instead of the seed-keyed
@@ -124,9 +120,6 @@ int run_daemon(const DaemonOptions& options) {
   server_config.max_tenants = options.max_tenants;
   server_config.idle_timeout_s = options.idle_timeout_s;
   server_config.tracking.enable = options.track;
-  if (options.pool_buffers > 0) {
-    server_config.pool.max_buffers_per_class = options.pool_buffers;
-  }
   net::Server server(prism, engine, server_config);
 
   g_server.store(&server, std::memory_order_relaxed);
@@ -178,17 +171,7 @@ int run_daemon(const DaemonOptions& options) {
   std::printf("  bytes        in %llu  out %llu\n",
               static_cast<unsigned long long>(stats.bytes_received),
               static_cast<unsigned long long>(stats.bytes_sent));
-  std::printf("  datapath     pool hits %llu  misses %llu  discards %llu"
-              "  resident %llu B\n",
-              static_cast<unsigned long long>(stats.pool_hits),
-              static_cast<unsigned long long>(stats.pool_misses),
-              static_cast<unsigned long long>(stats.pool_discards),
-              static_cast<unsigned long long>(stats.pool_bytes_resident));
-  std::printf("               frames spliced %llu  coalesced %llu"
-              " (%llu B)  writev calls %llu\n",
-              static_cast<unsigned long long>(stats.frames_spliced),
-              static_cast<unsigned long long>(stats.frames_coalesced),
-              static_cast<unsigned long long>(stats.bytes_coalesced),
+  std::printf("  datapath     writev calls %llu\n",
               static_cast<unsigned long long>(stats.writev_calls));
   std::printf("  sessions     opened %llu  closed %llu  tenants %zu"
               "  evicted %llu\n",
@@ -235,7 +218,7 @@ int usage() {
                "            [--reactors N] [--seed S] [--antennas N]\n"
                "            [--multipath] [--idle-timeout SEC]\n"
                "            [--max-conns N] [--max-pending N]\n"
-               "            [--max-tenants N] [--pool-buffers N]\n"
+               "            [--max-tenants N]\n"
                "            [--geometry FILE] [--calibration FILE]\n"
                "            [--drift] [--track]\n");
   return 2;
@@ -277,8 +260,6 @@ int main(int argc, char** argv) {
         options.max_pending = std::stoull(next());
       } else if (arg == "--max-tenants") {
         options.max_tenants = std::stoull(next());
-      } else if (arg == "--pool-buffers") {
-        options.pool_buffers = std::stoull(next());
       } else if (arg == "--geometry") {
         options.geometry_path = next();
       } else if (arg == "--calibration") {
