@@ -20,11 +20,13 @@ std::vector<AntennaTrace> preprocess_round(const RoundTrace& round) {
   };
   std::vector<Channel> channels;
   channels.reserve(round.dwells.size());
+  std::vector<double> scratch;  // shared by every dwell's aggregation
   for (const Dwell& dwell : round.dwells) {
     require(dwell.antenna < round.n_antennas,
             "preprocess_round: antenna index out of range");
     if (dwell.phases.empty()) continue;
-    const ChannelPhase agg = aggregate_dwell(dwell.frequency_hz, dwell.phases);
+    const ChannelPhase agg =
+        aggregate_dwell(dwell.frequency_hz, dwell.phases, scratch);
     channels.push_back({dwell.antenna, dwell.frequency_hz, agg.n_reads,
                         agg.phase});
   }

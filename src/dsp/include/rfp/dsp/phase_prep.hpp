@@ -1,6 +1,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 /// \file phase_prep.hpp
 /// Signal pre-processing (paper §III, first module): denoise raw per-read
@@ -25,8 +26,11 @@ struct ChannelPhase {
 /// Pi-jump correction: map every read into [0, pi) modulo pi (which erases
 /// the pi ambiguity), take the circular mean with period pi, then restore
 /// the half-turn by majority vote of the corrected reads. Throws on empty
-/// input.
+/// input. `scratch` is working storage, resized to the read count: a
+/// caller that aggregates many dwells passes the same vector to each, so
+/// they share one allocation.
 ChannelPhase aggregate_dwell(double frequency_hz,
-                             std::span<const double> raw_phases);
+                             std::span<const double> raw_phases,
+                             std::vector<double>& scratch);
 
 }  // namespace rfp

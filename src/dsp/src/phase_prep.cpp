@@ -10,14 +10,13 @@
 namespace rfp {
 
 ChannelPhase aggregate_dwell(double frequency_hz,
-                             std::span<const double> raw_phases) {
+                             std::span<const double> raw_phases,
+                             std::vector<double>& scratch) {
   require(!raw_phases.empty(), "aggregate_dwell: no reads");
   require(frequency_hz > 0.0, "aggregate_dwell: bad frequency");
 
-  // One scratch buffer per thread serves both passes below (the doubled
-  // reads, then the corrected ones): a sense aggregates hundreds of dwells,
-  // and fresh vectors would cost two heap allocations each.
-  thread_local std::vector<double> scratch;
+  // The scratch buffer serves both passes below: first the doubled reads,
+  // then the corrected ones.
   scratch.resize(raw_phases.size());
 
   // Fold modulo pi by doubling the angle: 2*(theta + pi) == 2*theta (mod

@@ -41,10 +41,11 @@
 /// Ordering: each accepted request gets a per-connection index; finished
 /// responses park in a fixed reorder ring (max_pending_per_connection
 /// slots, so indices can never collide) until every earlier response has
-/// been written. seq values are echoed, not interpreted. The ring's
-/// parked bytes are bounded by max_reorder_bytes: a connection whose
-/// out-of-order completions exceed the cap is shed (counted in
-/// reorder_evictions) rather than growing server memory without bound.
+/// been written. seq values are echoed, not interpreted. The memory the
+/// ring's parked responses hold is bounded by max_reorder_bytes: a
+/// connection whose out-of-order completions exceed the cap is shed
+/// (counted in reorder_evictions) rather than growing server memory
+/// without bound.
 ///
 /// Data path: each response is encoded into its own byte vector, which
 /// moves through the reorder ring into the connection's write queue and is
@@ -52,7 +53,7 @@
 /// copied on the way out (see DESIGN.md §9 "Data path & memory").
 ///
 /// Backpressure: a connection with `max_pending_per_connection` requests
-/// in flight (or an unflushed output backlog past the write buffer cap)
+/// in flight (or unflushed responses holding more than max_write_backlog)
 /// stops being read — bytes accumulate in kernel buffers and eventually
 /// stall the client's send, which is the whole point.
 ///
@@ -91,13 +92,15 @@ struct ServerConfig {
   /// Requests accepted but not yet answered before the server stops
   /// reading the connection.
   std::size_t max_pending_per_connection = 32;
-  /// Unflushed response bytes before the server stops reading the
-  /// connection (second backpressure trigger, for slow readers).
+  /// Memory held by unflushed responses before the server stops reading
+  /// the connection (second backpressure trigger, for slow readers). Each
+  /// response is charged its buffer's capacity plus the vector itself, so
+  /// a backlog of small frames is bounded by memory, not wire bytes.
   std::size_t max_write_backlog = 8u << 20;
-  /// Response bytes parked out-of-order in a connection's reorder map
-  /// before the connection is shed (reorder_evictions). In-order
-  /// responses move straight to the write buffer and are governed by
-  /// max_write_backlog instead.
+  /// Memory held by responses parked out-of-order in a connection's
+  /// reorder ring (charged like max_write_backlog) before the connection
+  /// is shed (reorder_evictions). In-order responses move straight to the
+  /// write queue and are governed by max_write_backlog instead.
   std::size_t max_reorder_bytes = 16u << 20;
   /// Seconds of inactivity (no frames, nothing pending) before a
   /// connection is closed; 0 disables.

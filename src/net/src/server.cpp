@@ -36,10 +36,13 @@ const char* decode_error_message(DecodeStatus status) {
   }
 }
 
-/// Capacity reserved for each sense response. Responses run 3-5 KB (more
-/// antennas and channels, more bytes), so one takes one allocation, or two
-/// past 4 KiB, instead of a dozen doublings from empty.
-constexpr std::size_t kSenseResponseReserve = 4096;
+/// Memory a queued response holds: its heap block and the vector in its
+/// queue slot. The write-backlog and reorder caps charge this rather than
+/// the wire bytes, so they bound memory for 16-byte pongs as well as for
+/// 4 KB sense responses.
+std::size_t resident_bytes(const std::vector<std::uint8_t>& frame) {
+  return frame.capacity() + sizeof frame;
+}
 
 }  // namespace
 
@@ -130,7 +133,7 @@ class Server::Reactor {
     /// the first `out_front_sent` bytes of the front one are written.
     std::deque<std::vector<std::uint8_t>> out;
     std::size_t out_front_sent = 0;
-    std::size_t out_bytes = 0;  ///< unsent bytes across `out`
+    std::size_t out_bytes = 0;  ///< resident_bytes() across `out`
 
     // Per-connection ordering: request `index` values are assigned as
     // frames arrive; finished responses wait in the `ready` ring until
@@ -147,7 +150,7 @@ class Server::Reactor {
     };
     std::vector<ReadyResponse> ready;  ///< power-of-two reorder ring
     std::size_t ready_count = 0;  ///< parked responses
-    std::size_t ready_bytes = 0;  ///< parked bytes (max_reorder_bytes cap)
+    std::size_t ready_bytes = 0;  ///< parked resident_bytes() (reorder cap)
     std::size_t in_flight = 0;    ///< accepted, response not yet emitted
 
     double last_activity = 0.0;
@@ -177,16 +180,16 @@ class Server::Reactor {
     }
 
     void queue(std::vector<std::uint8_t> response) {
-      out_bytes += response.size();
+      out_bytes += resident_bytes(response);
       out.push_back(std::move(response));
     }
 
     /// Drop `n` written bytes from the front of `out`.
     void consume(std::size_t n) {
-      out_bytes -= n;
       n += out_front_sent;
       while (!out.empty() && n >= out.front().size()) {
         n -= out.front().size();
+        out_bytes -= resident_bytes(out.front());
         out.pop_front();
       }
       out_front_sent = n;
@@ -741,7 +744,7 @@ class Server::Reactor {
     Connection::ReadyResponse& slot = conn.ready_slot(index);
     slot.present = true;
     slot.failed = failed;
-    conn.ready_bytes += frame_bytes.size();
+    conn.ready_bytes += resident_bytes(frame_bytes);
     slot.bytes = std::move(frame_bytes);
     ++conn.ready_count;
   }
@@ -762,7 +765,6 @@ class Server::Reactor {
                      round = std::move(round)]() mutable {
       bool failed = false;
       std::vector<std::uint8_t> bytes;
-      bytes.reserve(kSenseResponseReserve);
       try {
         const RfPrism& prism = tenant->prism();
         const SensingResult result = prism.sense(round, engine(), tag_id);
@@ -776,21 +778,13 @@ class Server::Reactor {
         end_frame(w, f);
       } catch (const InvalidArgument& e) {
         // Structurally wrong round (antenna count mismatch): the
-        // client's fault, not ours. Clear first: the solve (or encode)
-        // may have died mid-frame.
+        // client's fault, not ours. A fresh frame replaces whatever the
+        // encode had written.
         failed = true;
-        bytes.clear();
-        ByteWriter w(bytes);
-        const std::size_t f = begin_frame(w, FrameType::kError, seq);
-        encode_error_payload_into(w, WireError::kMalformedPayload, e.what());
-        end_frame(w, f);
+        bytes = make_error_frame(seq, WireError::kMalformedPayload, e.what());
       } catch (const std::exception& e) {
         failed = true;
-        bytes.clear();
-        ByteWriter w(bytes);
-        const std::size_t f = begin_frame(w, FrameType::kError, seq);
-        encode_error_payload_into(w, WireError::kInternal, e.what());
-        end_frame(w, f);
+        bytes = make_error_frame(seq, WireError::kInternal, e.what());
       }
       tenant->count_request(failed);
       {
@@ -832,7 +826,7 @@ class Server::Reactor {
     for (;;) {
       Connection::ReadyResponse& slot = conn.ready_slot(conn.next_emit);
       if (!slot.present) break;
-      conn.ready_bytes -= slot.bytes.size();
+      conn.ready_bytes -= resident_bytes(slot.bytes);
       const bool failed = slot.failed;
       conn.queue(std::move(slot.bytes));
       slot.present = false;

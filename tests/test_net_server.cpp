@@ -236,6 +236,94 @@ TEST(NetServer, BackloggedResponsesSurvivePartialWrites) {
   EXPECT_EQ(server.stats().bytes_sent, burst.size());
 }
 
+TEST(NetServer, UnreadErrorBacklogPausesReadingWithinTheCap) {
+  // A peer pipelines senses the server rejects (antenna count mismatch)
+  // and reads nothing. Every answer is a small kError frame from a
+  // worker. max_write_backlog bounds the memory the queued answers hold,
+  // so once the kernel's buffers are full the server must stop reading
+  // after at most cap / (frame bytes + the vector holding them) more
+  // answers, plus the requests already in flight.
+  const Testbed& bed = shared_bed();
+  SensingEngine engine(1);
+  ServerConfig config;
+  config.max_write_backlog = 64u << 10;
+  Server server(bed.prism(), engine, config);
+  server.start();
+
+  RoundTrace round;
+  round.n_antennas = bed.prism().config().geometry.n_antennas() + 1;
+  std::vector<std::uint8_t> chunk;  // 256 identical requests
+  const std::vector<std::uint8_t> request = net::encode_sense_request(
+      bed.tag_id(), round);
+  for (std::uint32_t k = 0; k < 256; ++k) {
+    net::append_frame(chunk, FrameType::kSenseRequest, k, request);
+  }
+
+  std::string error;
+  UniqueFd fd = tcp_connect("127.0.0.1", server.port(), 10.0, &error);
+  ASSERT_TRUE(fd.valid()) << error;
+  ASSERT_TRUE(set_nonblocking(fd.get()));
+
+  // Send the chunk over and over until the server stops reading: the
+  // socket buffers fill both ways, the send would block, and the server's
+  // frame count stands still.
+  using Clock = std::chrono::steady_clock;
+  const auto deadline = Clock::now() + std::chrono::seconds(60);
+  auto last_change = Clock::now();
+  std::uint64_t last_frames = 0;
+  std::size_t offset = 0;
+  for (;;) {
+    const IoResult r =
+        send_some(fd.get(), chunk.data() + offset, chunk.size() - offset);
+    if (r.status == IoStatus::kOk) {
+      offset = (offset + r.bytes) % chunk.size();
+      continue;
+    }
+    ASSERT_EQ(r.status, IoStatus::kWouldBlock);
+    const std::uint64_t frames = server.stats().frames_received;
+    if (frames != last_frames) {
+      last_frames = frames;
+      last_change = Clock::now();
+    } else if (Clock::now() - last_change > std::chrono::milliseconds(500)) {
+      break;
+    }
+    ASSERT_LT(Clock::now(), deadline) << "the server never stopped reading";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const net::ServerStats paused = server.stats();
+
+  // Every answer is the same frame; read the first to learn its size.
+  net::FrameDecoder decoder;
+  Frame first;
+  while (decoder.next(first) != net::DecodeStatus::kFrame) {
+    std::uint8_t buf[256];
+    const IoResult r = recv_with_timeout(fd.get(), buf, sizeof buf, 10.0);
+    ASSERT_EQ(r.status, IoStatus::kOk);
+    decoder.feed({buf, r.bytes});
+  }
+  ASSERT_EQ(first.type, FrameType::kError);
+  WireError code;
+  std::string message;
+  ASSERT_TRUE(net::decode_error_payload(first.payload, code, message));
+  EXPECT_EQ(code, WireError::kMalformedPayload) << message;
+  const std::size_t frame_bytes = net::kHeaderSize + first.payload.size();
+
+  EXPECT_EQ(paused.requests_completed, 0u);
+  const std::uint64_t written = paused.bytes_sent / frame_bytes;
+  ASSERT_GE(paused.requests_failed, written);
+  const std::uint64_t queued = paused.requests_failed - written;
+  // More answers wait than could be in flight: the write backlog, not the
+  // in-flight cap, is what stopped the reads.
+  EXPECT_GT(queued, config.max_pending_per_connection);
+  EXPECT_LE(queued, config.max_write_backlog /
+                            (frame_bytes + sizeof(std::vector<std::uint8_t>)) +
+                        1 + config.max_pending_per_connection)
+      << frame_bytes << "-byte answers";
+
+  fd.reset();  // unread answers: the server's next write fails
+  server.stop();
+}
+
 TEST(NetServer, GracefulShutdownDrainsAcceptedRequests) {
   const Testbed& bed = shared_bed();
   const std::vector<RoundTrace> corpus = make_corpus(bed, 2, 2);
