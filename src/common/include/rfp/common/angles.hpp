@@ -10,7 +10,15 @@
 
 namespace rfp {
 
-/// Wrap an angle to [0, 2*pi).
+/// IEEE remainder of `x` by kPi, in [-pi/2, pi/2]. Bitwise equal to
+/// std::remainder(x, kPi) for every input (NaN, +-inf and +-0 included),
+/// but computed by an exact two-constant reduction, without libm, for
+/// |x| below 2^20 * pi.
+double remainder_pi(double x);
+
+/// Wrap an angle to [0, 2*pi). Bitwise equal to reducing with
+/// std::fmod(a, kTwoPi) and then adding kTwoPi to a negative result; the
+/// fmod step is the same exact reduction as remainder_pi's.
 double wrap_to_2pi(double a);
 
 /// Wrap an angle to [-pi, pi).

@@ -133,6 +133,22 @@ std::shared_ptr<DeploymentTenant> DeploymentRegistry::acquire(
     return it->second;
   }
 
+  // Graft the shipped deployment onto the server's solver settings: the
+  // client chooses the site, never the solver modes. The drift tuning is
+  // the server's too, but the switch is the session's: a session asking
+  // for drift gets a live estimator whether or not the daemon runs one.
+  RfPrismConfig config = base_config_;
+  config.geometry = geometry;
+  config.disentangle.drift.enable = enable_drift;
+
+  auto tenant = std::shared_ptr<DeploymentTenant>(new DeploymentTenant());
+  tenant->owned_prism_ = std::make_unique<RfPrism>(std::move(config));
+  tenant->owned_prism_->import_calibrations(calibrations);
+  tenant->prism_ = tenant->owned_prism_.get();
+  tenant->digest_ = digest;
+  tenant->key_bytes_ = std::move(key);
+
+  // Built first, so a deployment the prism rejects evicts no one.
   if (tenants_.size() >= max_tenants_) {
     // Evict the oldest tenant no session still holds (use_count == 1:
     // only the registry's map references it). The default tenant is
@@ -152,20 +168,6 @@ std::shared_ptr<DeploymentTenant> DeploymentRegistry::acquire(
     if (!evicted) throw Error("deployment registry full");
   }
 
-  // Graft the shipped deployment onto the server's solver settings: the
-  // client chooses the site, never the solver modes. The drift tuning is
-  // the server's too, but the switch is the session's: a session asking
-  // for drift gets a live estimator whether or not the daemon runs one.
-  RfPrismConfig config = base_config_;
-  config.geometry = geometry;
-  config.disentangle.drift.enable = enable_drift;
-
-  auto tenant = std::shared_ptr<DeploymentTenant>(new DeploymentTenant());
-  tenant->owned_prism_ = std::make_unique<RfPrism>(std::move(config));
-  tenant->owned_prism_->import_calibrations(calibrations);
-  tenant->prism_ = tenant->owned_prism_.get();
-  tenant->digest_ = digest;
-  tenant->key_bytes_ = std::move(key);
   tenants_[digest] = tenant;
   insertion_order_.push_back(digest);
   return tenant;

@@ -18,14 +18,14 @@ namespace {
 /// [-pi/2, pi/2]. Both the 2*pi folding and the reader's pi ambiguity
 /// vanish under this reduction.
 double modpi_residual(double theta, double pred) {
-  return std::remainder(theta - pred, kPi);
+  return remainder_pi(theta - pred);
 }
 
 /// Sequential unwrap with period pi (used by the plain, non-robust path).
 std::vector<double> unwrap_mod_pi(std::span<const double> wrapped) {
   std::vector<double> out(wrapped.begin(), wrapped.end());
   for (std::size_t i = 1; i < out.size(); ++i) {
-    out[i] = out[i - 1] + std::remainder(wrapped[i] - out[i - 1], kPi);
+    out[i] = out[i - 1] + remainder_pi(wrapped[i] - out[i - 1]);
   }
   return out;
 }
@@ -102,7 +102,7 @@ AntennaLine fit_antenna_line(const AntennaTrace& trace,
     // Long baselines give precise slope hypotheses; skip near pairs.
     if (std::abs(df) < 0.3 * f_span) continue;
 
-    const double dtheta = std::remainder(wrapped[j] - wrapped[i], kPi);
+    const double dtheta = remainder_pi(wrapped[j] - wrapped[i]);
     const double base = dtheta / df;
     const double step = kPi / std::abs(df);
     // Enumerate the pi/delta_f ladder of feasible slopes.
@@ -118,6 +118,10 @@ AntennaLine fit_antenna_line(const AntennaTrace& trace,
         if (std::abs(r) <= config.ransac_inlier_threshold) {
           ++count;
           rss += r * r;
+        } else if (count + (n - 1 - c) < best_count) {
+          // Even if every channel left agrees, this candidate ends below
+          // the best count and cannot replace it: stop scoring it.
+          break;
         }
       }
       if (count > best_count || (count == best_count && rss < best_rss)) {
@@ -140,12 +144,15 @@ AntennaLine fit_antenna_line(const AntennaTrace& trace,
   // ---- Refinement: congruence-snap (period pi) + OLS on inliers --------
   std::vector<bool> inlier(n, false);
   std::vector<double> snapped(n, 0.0);
+  std::vector<double> abs_res(n);
+  std::vector<double> fx, fy;
+  fx.reserve(n);
+  fy.reserve(n);
   double k = best_k;
   double b = best_b;
   LineFit fit;
 
   for (int round = 0; round < 3; ++round) {
-    std::vector<double> abs_res(n);
     for (std::size_t c = 0; c < n; ++c) {
       const double pred = k * f[c] + b;
       const double r = modpi_residual(wrapped[c], pred);
@@ -157,9 +164,8 @@ AntennaLine fit_antenna_line(const AntennaTrace& trace,
                  1.4826 * median(std::span<const double>(abs_res)));
     const double threshold = std::min(config.trim_threshold_factor * scale,
                                       config.max_inlier_residual);
-    std::vector<double> fx, fy;
-    fx.reserve(n);
-    fy.reserve(n);
+    fx.clear();
+    fy.clear();
     for (std::size_t c = 0; c < n; ++c) {
       inlier[c] = abs_res[c] <= threshold;
       if (inlier[c]) {
@@ -178,7 +184,7 @@ AntennaLine fit_antenna_line(const AntennaTrace& trace,
   }
 
   // ---- Parity: restore the intercept modulo 2*pi ------------------------
-  std::vector<double> predicted(n);
+  std::vector<double>& predicted = abs_res;  // the rounds are done with it
   for (std::size_t c = 0; c < n; ++c) predicted[c] = k * f[c] + b;
   const double parity = parity_correction(wrapped, predicted, &inlier);
   fit.intercept += parity;

@@ -163,6 +163,9 @@ class Server::Reactor {
     bool close_after_flush = false; ///< close once `out` drains
     bool dead = false;              ///< hard socket error: drop now
     bool paused = false;            ///< backpressure state (edge-counted)
+    /// parse_frames stopped at the in-flight cap, so the decoder may hold
+    /// complete frames that no socket event will announce.
+    bool parse_capped = false;
 
     // A framing violation's error frame, held back until the responses
     // for already-accepted requests have been written (ordering survives
@@ -266,9 +269,13 @@ class Server::Reactor {
         pfd_conn.push_back(0);
       }
       const std::size_t first_conn_pfd = pfds.size();
+      bool parse_pending = false;
       for (const auto& [id, conn] : connections_) {
         short events = 0;
-        if (!stopping && wants_read(*conn)) events |= POLLIN;
+        if (!stopping && wants_read(*conn)) {
+          events |= POLLIN;
+          parse_pending = parse_pending || conn->parse_capped;
+        }
         if (conn->write_backlog() > 0) events |= POLLOUT;
         pfds.push_back({conn->fd.get(), events, 0});
         pfd_conn.push_back(id);
@@ -276,7 +283,9 @@ class Server::Reactor {
 
       int timeout_ms = -1;
       const double now = now_s();
-      if (draining) {
+      if (parse_pending) {
+        timeout_ms = 0;  // the service pass below parses the next batch
+      } else if (draining) {
         timeout_ms = static_cast<int>(
             std::clamp((drain_deadline - now) * 1e3, 0.0, 100.0));
       } else if (!connections_.empty()) {
@@ -508,7 +517,10 @@ class Server::Reactor {
       // guarantees it stays put until the next feed() or next() call.
       FrameView frame;
       const DecodeStatus status = conn.decoder.next(frame);
-      if (status == DecodeStatus::kNeedMore) return;
+      if (status == DecodeStatus::kNeedMore) {
+        conn.parse_capped = false;
+        return;
+      }
       if (status == DecodeStatus::kFrame) {
         handle_frame(conn, frame);
         continue;
@@ -544,6 +556,7 @@ class Server::Reactor {
       conn.read_closed = true;
       return;
     }
+    conn.parse_capped = true;
   }
 
   void handle_frame(Connection& conn, const FrameView& frame) {

@@ -1,6 +1,7 @@
 #include "rfp/common/angles.hpp"
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,9 +9,118 @@
 #include "rfp/common/constants.hpp"
 #include "rfp/common/error.hpp"
 #include "rfp/common/rng.hpp"
+#include "support/bits.hpp"
 
 namespace rfp {
 namespace {
+
+using testutil::same_bits;
+
+// ---- Exactness of the fast reductions ------------------------------------
+// remainder_pi and wrap_to_2pi promise libm's bits for every input. The
+// references below are the libm expressions they replaced.
+
+double reference_remainder_pi(double x) { return std::remainder(x, kPi); }
+
+double reference_wrap_to_2pi(double a) {
+  double r = std::fmod(a, kTwoPi);
+  if (r < 0.0) r += kTwoPi;
+  if (r >= kTwoPi) r -= kTwoPi;
+  return r;
+}
+
+/// Checks both functions at `x`; returns false (after one gtest failure
+/// per function) on the first mismatch so a sweep can stop early.
+bool both_match(double x) {
+  const double rem = remainder_pi(x);
+  const double rem_ref = reference_remainder_pi(x);
+  const double wrap = wrap_to_2pi(x);
+  const double wrap_ref = reference_wrap_to_2pi(x);
+  EXPECT_TRUE(same_bits(rem, rem_ref))
+      << std::hexfloat << "remainder_pi(" << x << ") = " << rem
+      << ", libm " << rem_ref;
+  EXPECT_TRUE(same_bits(wrap, wrap_ref))
+      << std::hexfloat << "wrap_to_2pi(" << x << ") = " << wrap
+      << ", libm " << wrap_ref;
+  return same_bits(rem, rem_ref) && same_bits(wrap, wrap_ref);
+}
+
+/// `per_decade` random inputs of both signs in each decade [10^d, 10^(d+1))
+/// for d in [first, last).
+void sweep_decades(int first, int last, int per_decade, std::uint64_t seed) {
+  Rng rng(seed);
+  for (int d = first; d < last; ++d) {
+    const double lo = std::pow(10.0, d);
+    for (int i = 0; i < per_decade; ++i) {
+      const double x = lo + 9.0 * lo * rng.uniform();
+      if (!both_match(rng.uniform() < 0.5 ? -x : x)) return;
+    }
+  }
+}
+
+// The fast paths answer only below 2^20 periods (3.3e6 for pi, 6.6e6 for
+// 2*pi); every decade up to 10^7 gets a million inputs, in two shards.
+TEST(ExactReduction, MatchesLibmFrom1eMinus300To1eMinus100) {
+  sweep_decades(-300, -100, 1'000'000, 1);
+}
+
+TEST(ExactReduction, MatchesLibmFrom1eMinus100To1e7) {
+  sweep_decades(-100, 7, 1'000'000, 2);
+}
+
+TEST(ExactReduction, MatchesLibmFrom1e7To1e300) {
+  // Above 2^20 periods both functions take the libm fallback, so these
+  // decades check only that branch. glibc's fmod costs up to 5 us a call
+  // there, so they get 10^3 inputs each, not 10^6.
+  sweep_decades(7, 300, 1'000, 3);
+}
+
+/// `x` and its 8 neighbours in ulps on either side.
+bool neighbourhood_matches(double x) {
+  double up = x;
+  double down = x;
+  if (!both_match(x)) return false;
+  for (int i = 0; i < 8; ++i) {
+    up = std::nextafter(up, std::numeric_limits<double>::infinity());
+    down = std::nextafter(down, -std::numeric_limits<double>::infinity());
+    if (!both_match(up) || !both_match(down)) return false;
+  }
+  return true;
+}
+
+TEST(ExactReduction, MatchesLibmNearMultiplesOfHalfPiAndTwoPi) {
+  // k*pi/2 holds remainder_pi's rounding boundaries (odd k) and its zero
+  // results (even k); k*2*pi holds wrap_to_2pi's. Just off a boundary, at
+  // the edge of the 1e-9 quotient margin, the fast path takes over.
+  for (int k = -100'000; k <= 100'000; ++k) {
+    const double kd = static_cast<double>(k);
+    if (!neighbourhood_matches(kd * (kPi / 2.0))) return;
+    if (!neighbourhood_matches(kd * kTwoPi)) return;
+    for (double m : {0.9e-9, 1.1e-9}) {
+      if (!neighbourhood_matches((kd / 2.0 + m) * kPi)) return;
+      if (!neighbourhood_matches((kd / 2.0 - m) * kPi)) return;
+      if (!neighbourhood_matches((kd + m) * kTwoPi)) return;
+      if (!neighbourhood_matches((kd - m) * kTwoPi)) return;
+    }
+  }
+}
+
+TEST(ExactReduction, MatchesLibmOnSpecialValues) {
+  using limits = std::numeric_limits<double>;
+  for (double x : {0.0, -0.0, limits::infinity(), -limits::infinity(),
+                   limits::quiet_NaN(), -limits::quiet_NaN(),
+                   limits::signaling_NaN(), limits::max(), -limits::max(),
+                   limits::min(), -limits::min(), limits::denorm_min(),
+                   -limits::denorm_min(), limits::min() / 3.0,
+                   -limits::min() / 7.0, kPi, -kPi, kTwoPi, -kTwoPi,
+                   kPi / 2.0, -kPi / 2.0}) {
+    EXPECT_TRUE(neighbourhood_matches(x)) << std::hexfloat << x;
+  }
+  EXPECT_TRUE(std::signbit(remainder_pi(-0.0)));
+  EXPECT_TRUE(std::signbit(remainder_pi(-kPi)));  // libm's -0, not +0
+  EXPECT_TRUE(std::isnan(remainder_pi(limits::infinity())));
+  EXPECT_TRUE(std::isnan(wrap_to_2pi(-limits::infinity())));
+}
 
 TEST(WrapTo2Pi, CanonicalValues) {
   EXPECT_DOUBLE_EQ(wrap_to_2pi(0.0), 0.0);

@@ -1,9 +1,11 @@
 /// DeploymentRegistry: digest identity, tenant sharing, solver-settings
-/// grafting, FIFO eviction of unpinned tenants, capacity exhaustion, and
-/// the stats snapshot ordering operators rely on.
+/// grafting, FIFO eviction of unpinned tenants (and none for a rejected
+/// deployment), capacity exhaustion, and the stats snapshot ordering
+/// operators rely on.
 
 #include "rfp/core/deployment_registry.hpp"
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -158,6 +160,34 @@ TEST(DeploymentRegistry, ThrowsWhenEveryTenantIsPinned) {
   tb.reset();
   EXPECT_NO_THROW(registry.acquire(c.prism().config().geometry,
                                    c.prism().calibrations()));
+}
+
+TEST(DeploymentRegistry, RejectedDeploymentEvictsNoResidentTenant) {
+  // At capacity with an unpinned tenant resident, a deployment the prism
+  // refuses (here a NaN antenna position) must leave the registry as it
+  // was: the tenant is built before anyone is evicted.
+  const Testbed& base = bed_for_seed(42);
+  const Testbed& b = bed_for_seed(7);
+  DeploymentRegistry registry(2);  // default + one session slot
+  registry.set_default(base.prism());
+  auto tb = registry.acquire(b.prism().config().geometry,
+                             b.prism().calibrations());
+  const std::weak_ptr<DeploymentTenant> resident = tb;
+  tb.reset();  // unpinned: an eviction candidate
+  ASSERT_EQ(registry.size(), 2u);
+
+  DeploymentGeometry bad = b.prism().config().geometry;
+  bad.antenna_positions[0].x = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(registry.acquire(bad, b.prism().calibrations()),
+               InvalidArgument);
+  EXPECT_EQ(registry.evictions(), 0u);
+  EXPECT_EQ(registry.size(), 2u);
+  ASSERT_FALSE(resident.expired());
+  EXPECT_EQ(registry
+                .acquire(b.prism().config().geometry,
+                         b.prism().calibrations())
+                .get(),
+            resident.lock().get());
 }
 
 TEST(DeploymentRegistry, CalibrationAntennaMismatchIsInvalidArgument) {

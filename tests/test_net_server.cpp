@@ -236,6 +236,37 @@ TEST(NetServer, BackloggedResponsesSurvivePartialWrites) {
   EXPECT_EQ(server.stats().bytes_sent, burst.size());
 }
 
+TEST(NetServer, FramesBufferedPastTheInFlightCapAreAnsweredPromptly) {
+  // One send of 1,000 pings lands in the decoder at once; the server parses
+  // max_pending_per_connection (32) of them per pass. The rest raise no
+  // further socket event, so the reactor must not sleep in poll() while it
+  // still holds complete frames it can take: every pong is due at once,
+  // not one cap's worth per stall timeout.
+  const Testbed& bed = shared_bed();
+  SensingEngine engine(1);
+  Server server(bed.prism(), engine);
+  server.start();
+
+  constexpr std::uint32_t kPings = 1'000;
+  std::vector<std::uint8_t> burst;
+  for (std::uint32_t k = 0; k < kPings; ++k) {
+    net::append_frame(burst, FrameType::kPing, k, {});
+  }
+  ClientConfig config = client_config(server.port());
+  config.io_timeout_s = 5.0;
+  Client client(config);
+  const auto start = std::chrono::steady_clock::now();
+  client.send_bytes(burst);
+  for (std::uint32_t k = 0; k < kPings; ++k) {
+    const Frame frame = client.read_frame();
+    ASSERT_EQ(frame.type, FrameType::kPong) << "response " << k;
+    ASSERT_EQ(frame.seq, k) << "response " << k;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(5));
+  server.stop();
+}
+
 TEST(NetServer, UnreadErrorBacklogPausesReadingWithinTheCap) {
   // A peer pipelines senses the server rejects (antenna count mismatch)
   // and reads nothing. Every answer is a small kError frame from a
